@@ -663,6 +663,22 @@ int main() {
            reporter);
   }
 
+  {
+    // One cold required-capacity search over a server-sized (4-app) 4-week
+    // aggregate, on the grid as every fleet aggregate is: the search's
+    // probes take the sparse replay (docs/algorithms.md §5).
+    static const auto allocs4 = qos::build_allocations(
+        bench::case_study(4), bench::paper_requirement(97.0, 30.0), cos2());
+    std::vector<const qos::AllocationTrace*> ptrs;
+    for (std::size_t i = 0; i < 4; ++i) ptrs.push_back(&allocs4[i]);
+    const sim::Aggregate agg =
+        sim::aggregate_workloads(ptrs, allocs4[0].calendar());
+    report(run_bench("sim/probe_sparse", agg.cos1.size(), [&] {
+             do_not_optimize(sim::required_capacity(agg, 16.0, cos2()));
+           }),
+           reporter);
+  }
+
   bench_slo_kernel(reporter);
   bench_serve_tick(reporter);
   bench_serve_compact(reporter);

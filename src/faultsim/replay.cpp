@@ -1,6 +1,7 @@
 #include "faultsim/replay.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <set>
@@ -195,7 +196,8 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     }
 
     const bool fleet_degraded =
-        std::any_of(down.begin(), down.begin() + pool.size(),
+        std::any_of(down.begin(),
+                    down.begin() + static_cast<std::ptrdiff_t>(pool.size()),
                     [](bool d) { return d; });
     // Active-mode peak per app: under the fleet-wide degrade policy every
     // app plans with its failure-mode footprint while any server is down;
@@ -296,7 +298,9 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     outcome.degraded_app_hours +=
         static_cast<double>(displaced) * span_hours;
     const bool fleet_degraded =
-        std::any_of(phase.down.begin(), phase.down.begin() + pool.size(),
+        std::any_of(phase.down.begin(),
+                    phase.down.begin() +
+                        static_cast<std::ptrdiff_t>(pool.size()),
                     [](bool d) { return d; });
     if (fleet_degraded) outcome.failure_mode_hours += span_hours;
   }

@@ -72,7 +72,10 @@ void IncrementalEvaluator::register_workload(std::size_t id,
   for (std::size_t i = 0; i < cos1.size(); ++i) {
     w.peak_cos1 = std::max(w.peak_cos1, cos1[i]);
     w.peak_total = std::max(w.peak_total, cos1[i] + cos2[i]);
-    if (!grid::on_grid(cos1[i]) || !grid::on_grid(cos2[i])) w.on_grid = false;
+    if (!grid::on_grid(cos1[i]) || !grid::on_grid(cos2[i]) ||
+        !(cos1[i] >= 0.0) || !(cos2[i] >= 0.0)) {
+      w.on_grid = false;
+    }
   }
   w.active = true;
 }
@@ -193,6 +196,9 @@ AggregateView IncrementalEvaluator::view_of(const Server& s) const {
   v.sum_peak_cos1 = s.sum_peak_cos1;
   v.peak_cos1 = s.peak_cos1;
   v.workloads = s.ids.size();
+  // Hosted workloads are on the grid and non-negative (delta_eligible), so
+  // the sum of their peaks bounds every slot's total.
+  v.on_grid = s.sum_peak_total < kGridTotalLimit;
   return v;
 }
 
@@ -316,6 +322,7 @@ RequiredCapacity IncrementalEvaluator::probe(std::size_t server,
     s.sum_peak_cos1 += w.peak_cos1;
     AggregateView v = view_of(s);
     v.workloads = s.ids.size() + 1;
+    v.on_grid = s.sum_peak_total + w.peak_total < kGridTotalLimit;
     const RequiredCapacity out =
         required_capacity(v, s.cpus, cos2_, tolerance_, s.warm);
     // Exact restore: the subtraction returns every slot (and hence the

@@ -11,16 +11,19 @@
 // produce, and removing a workload restores the previous bits. Verdicts run
 // through the same `sim::required_capacity` grid search as the batch path —
 // a pure function of the aggregate — warm-started from the server's last
-// verdict, so a small move re-verdicts in a couple of evaluate() passes
-// instead of a full cold search over a rebuilt aggregate.
+// verdict, so a small move re-verdicts in a couple of sparse probes
+// instead of a full cold search over a rebuilt aggregate. Views over the
+// maintained sums carry the on-grid flag, so verdicts and probes take the
+// search's sparse probe.
 //
-// Inputs that break the exactness contract — workloads with off-grid values
-// (hand-built test data, external feeds) or servers whose peak sums exceed
-// grid::kSumLimit — are detected and served by the batch fallback: the
-// aggregate is rebuilt from scratch in ascending-id order for every verdict,
-// which is slower but still agrees with the oracle bit for bit. The
-// `stats()` tallies (also exported as `sim.incremental.*` obs counters)
-// report how often each path ran.
+// Inputs outside the grid contract — workloads with off-grid values, or
+// negative ones the sparse probe cannot skip over (hand-built test data,
+// external feeds), or servers whose peak sums exceed grid::kSumLimit — are
+// detected and served by the batch fallback: the aggregate is rebuilt from
+// scratch in ascending-id order for every verdict, which is slower but
+// still agrees with the oracle bit for bit. The `stats()` tallies (also
+// exported as `sim.incremental.*` obs counters) report how often each path
+// ran.
 //
 // The engine does not own trace data: register_workload borrows spans that
 // must outlive the registration (placement borrows from its workload list,
@@ -112,7 +115,7 @@ class IncrementalEvaluator {
     std::span<const double> cos2;
     double peak_cos1 = 0.0;
     double peak_total = 0.0;
-    bool on_grid = false;
+    bool on_grid = false;  // every value on the grid and non-negative
     bool active = false;
     std::size_t host = npos;
   };

@@ -17,8 +17,8 @@ std::vector<ServerSpec> homogeneous_pool(std::size_t count, std::size_t cpus,
   std::vector<ServerSpec> pool;
   pool.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::string suffix =
-        (i + 1 < 10 ? "0" : "") + std::to_string(i + 1);
+    std::string suffix = i + 1 < 10 ? "0" : "";
+    suffix += std::to_string(i + 1);
     pool.push_back(ServerSpec{prefix + "-" + suffix, cpus});
   }
   return pool;

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "common/error.h"
+#include "common/grid.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "slo/kernel.h"
@@ -51,10 +52,16 @@ Aggregate aggregate_workloads(
     agg.sum_peak_cos1 += w->peak_cos1();
     agg.workloads += 1;
   }
+  // Allocation traces are snapped to the grid on construction, so the sums
+  // are on it too; what remains to check is sign and magnitude (a NaN fails
+  // the sign test).
+  bool non_negative = true;
   for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
     agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
     agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
+    non_negative = non_negative && agg.cos1[i] >= 0.0 && agg.cos2[i] >= 0.0;
   }
+  agg.on_grid = non_negative && agg.peak_total < kGridTotalLimit;
   return agg;
 }
 
@@ -217,6 +224,103 @@ double capacity_grid_step(double tolerance) {
   return std::ldexp(1.0, e - 1);
 }
 
+CapacityProbe::CapacityProbe(const AggregateView& agg,
+                             const qos::CosCommitment& cos2)
+    : agg_(agg), cos2_(cos2), sparse_(agg.on_grid && !agg.empty()) {
+  cos2.validate();
+  if (!sparse_) return;
+  const trace::Calendar& cal = *agg.calendar;
+  const std::size_t n = cal.size();
+  const std::size_t spd = cal.slots_per_day();
+  deadline_slots_ = cal.observations_in(cos2.deadline_minutes);
+  requested_.assign(cal.weeks() * spd, 0.0);
+  deficit_.assign(requested_.size(), 0.0);
+  // Group sums in slot order, as the dense replay adds them.
+  const double* s2 = agg.cos2.data();
+  for (std::size_t w = 0; w < cal.weeks(); ++w) {
+    double* const req = requested_.data() + w * spd;
+    for (std::size_t d = 0; d < trace::Calendar::kDaysPerWeek; ++d) {
+      for (std::size_t t = 0; t < spd; ++t) req[t] += *s2++;
+    }
+  }
+  block_max_.resize((n + kBlock - 1) / kBlock);
+  for (std::size_t b = 0; b < block_max_.size(); ++b) {
+    double m = 0.0;
+    for (std::size_t i = b * kBlock; i < std::min(n, (b + 1) * kBlock); ++i) {
+      m = std::max(m, agg.cos1[i] + agg.cos2[i]);
+    }
+    block_max_[b] = m;
+  }
+}
+
+bool CapacityProbe::sparse_at(double capacity) const {
+  return sparse_ && grid::on_grid(capacity) && capacity < grid::kSumLimit;
+}
+
+bool CapacityProbe::operator()(double capacity, Evaluation& out) {
+  ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
+  if (!sparse_at(capacity)) {
+    out = evaluate(agg_, capacity, cos2_);
+    return out.satisfies(cos2_);
+  }
+  evaluate_calls().add(1);
+  std::size_t read = 0;
+  const bool ok = replay(capacity, out, read);
+  evaluate_slots().add(read);
+  for (const std::size_t g : touched_) deficit_[g] = 0.0;
+  touched_.clear();
+  return ok;
+}
+
+// Each early exit returns the verdict the dense replay reaches, at the first
+// slot that decides it. `read` counts the slots actually replayed.
+bool CapacityProbe::replay(double capacity, Evaluation& out,
+                           std::size_t& read) {
+  const trace::Calendar& cal = *agg_.calendar;
+  const std::size_t n = cal.size();
+  const std::size_t spd = cal.slots_per_day();
+  const std::size_t week = trace::Calendar::kDaysPerWeek * spd;
+  const double* const s1v = agg_.cos1.data();
+  const double* const s2v = agg_.cos2.data();
+  slo::DeferralQueue backlog(deadline_slots_);
+  Evaluation ev;
+  for (std::size_t b = 0; b < block_max_.size(); ++b) {
+    // No slot in the block can leave a deficit, and nothing is queued to
+    // drain: the whole block is a run of no-ops.
+    if (backlog.empty() && block_max_[b] <= capacity) continue;
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
+    read += end - b * kBlock;
+    for (std::size_t i = b * kBlock; i < end; ++i) {
+      const double s1 = s1v[i];
+      const double s2 = s2v[i];
+      if (backlog.empty() && s1 + s2 <= capacity) continue;
+      if (s1 > capacity + kCapacityEps) return false;
+      const double available = std::max(0.0, capacity - s1);
+      const double sat2 = std::min(s2, available);
+      const double deficit = s2 - sat2;
+      if (deficit > 0.0) {
+        // A group's ratio only falls as its deficit grows (IEEE division is
+        // monotone in the numerator), so one already below the target
+        // decides the verdict.
+        const std::size_t g = i / week * spd + i % spd;
+        if (deficit_[g] == 0.0) touched_.push_back(g);
+        deficit_[g] += deficit;
+        if (ratio(g) < cos2_.theta) return false;
+      }
+      backlog.drain(available - sat2);
+      backlog.defer(i, deficit);
+      ev.max_backlog = std::max(ev.max_backlog, backlog.total());
+      if (backlog.overdue(i)) return false;
+    }
+  }
+  if (backlog.overdue_at_end(n)) return false;
+  // Untouched groups have ratio exactly 1, like dense's satisfied ==
+  // requested; every touched ratio passed its last check above.
+  for (const std::size_t g : touched_) ev.theta = std::min(ev.theta, ratio(g));
+  out = ev;
+  return true;
+}
+
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
                                    const qos::CosCommitment& cos2,
                                    double tolerance, double warm_capacity) {
@@ -268,12 +372,16 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
     return result;
   };
 
+  CapacityProbe satisfies(agg, cos2);
+  Evaluation e;
   if (k_lo > k_hi) {
     // No grid candidate between the peak and the limit; only `limit` left.
-    const Evaluation at_limit = evaluate(agg, limit, cos2);
-    if (!at_limit.satisfies(cos2)) return result;
-    return finish(limit, at_limit);
+    if (!satisfies(limit, e)) return result;
+    return finish(limit, e);
   }
+  const auto satisfies_k = [&](std::int64_t k, Evaluation& out) {
+    return satisfies(static_cast<double>(k) * step, out);
+  };
 
   // Bracket invariant: lo_k known-unsatisfying (k_lo - 1 is virtually
   // unsatisfying: below the CoS1 peak candidate range), hi_k known-
@@ -288,17 +396,13 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
     const std::int64_t k_w = std::clamp(
         static_cast<std::int64_t>(std::llround(warm_capacity / step)), k_lo,
         k_hi);
-    const Evaluation at_w = evaluate(agg, static_cast<double>(k_w) * step,
-                                     cos2);
-    if (at_w.satisfies(cos2)) {
+    if (satisfies_k(k_w, e)) {
       hi_k = k_w;
-      at_hi = at_w;
+      at_hi = e;
       for (std::int64_t d = 1; hi_k > lo_k + 1; d *= 2) {
         const std::int64_t p = std::max(k_lo, k_w - d);
         if (p >= hi_k) continue;
-        const Evaluation e = evaluate(agg, static_cast<double>(p) * step,
-                                      cos2);
-        if (e.satisfies(cos2)) {
+        if (satisfies_k(p, e)) {
           hi_k = p;
           at_hi = e;
           if (p == k_lo) break;
@@ -312,9 +416,7 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
       for (std::int64_t d = 1; lo_k < k_hi; d *= 2) {
         const std::int64_t p = std::min(k_hi, k_w + d);
         if (p <= lo_k) continue;
-        const Evaluation e = evaluate(agg, static_cast<double>(p) * step,
-                                      cos2);
-        if (e.satisfies(cos2)) {
+        if (satisfies_k(p, e)) {
           hi_k = p;
           at_hi = e;
           break;
@@ -324,16 +426,13 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
     }
   } else {
     // Cold start: confirm the top, quick-check the bottom, then bisect.
-    const Evaluation at_top =
-        evaluate(agg, static_cast<double>(k_hi) * step, cos2);
-    if (at_top.satisfies(cos2)) {
+    if (satisfies_k(k_hi, e)) {
       hi_k = k_hi;
-      at_hi = at_top;
+      at_hi = e;
       if (k_lo < k_hi) {
-        const Evaluation at_bot =
-            evaluate(agg, static_cast<double>(k_lo) * step, cos2);
-        if (at_bot.satisfies(cos2)) return finish(
-            static_cast<double>(k_lo) * step, at_bot);
+        if (satisfies_k(k_lo, e)) {
+          return finish(static_cast<double>(k_lo) * step, e);
+        }
         lo_k = k_lo;
       }
     } else {
@@ -343,20 +442,17 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
 
   if (hi_k < 0) {
     // Even the topmost grid candidate fails; `limit` is the only hope.
-    if (limit > static_cast<double>(k_hi) * step) {
-      const Evaluation at_limit = evaluate(agg, limit, cos2);
-      if (at_limit.satisfies(cos2)) return finish(limit, at_limit);
+    if (limit > static_cast<double>(k_hi) * step && satisfies(limit, e)) {
+      return finish(limit, e);
     }
     return result;  // not satisfiable within limit
   }
 
   while (hi_k - lo_k > 1) {
     const std::int64_t mid = lo_k + (hi_k - lo_k) / 2;
-    const Evaluation at_mid =
-        evaluate(agg, static_cast<double>(mid) * step, cos2);
-    if (at_mid.satisfies(cos2)) {
+    if (satisfies_k(mid, e)) {
       hi_k = mid;
-      at_hi = at_mid;
+      at_hi = e;
     } else {
       lo_k = mid;
     }

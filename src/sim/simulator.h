@@ -12,11 +12,17 @@
 
 #include <vector>
 
+#include "common/grid.h"
 #include "qos/allocation.h"
 #include "qos/requirements.h"
 #include "trace/calendar.h"
 
 namespace ropus::sim {
+
+/// Largest per-slot CoS1+CoS2 total an aggregate may carry and still count
+/// as on the grid: a (week, slot-of-day) theta group sums seven days of
+/// slots, and every such sum must stay below grid::kSumLimit to be exact.
+inline constexpr double kGridTotalLimit = grid::kSumLimit / 8;
 
 /// Aggregated per-slot allocation requests of a workload set (one server).
 /// Building this once lets the capacity search re-evaluate cheaply.
@@ -28,6 +34,12 @@ struct Aggregate {
   double peak_cos1 = 0.0;          // peak of the aggregated CoS1 series
   double peak_total = 0.0;         // peak of the aggregated CoS1+CoS2 series
   std::size_t workloads = 0;
+  /// Every value is a non-negative multiple of 2^-20 (common/grid.h) and
+  /// peak_total < kGridTotalLimit, so the replay's sums are exact — the
+  /// precondition of required_capacity's sparse probe. aggregate_workloads
+  /// sets it (allocation traces are snapped on construction); a hand-built
+  /// aggregate stays false, and its searches take the dense replay.
+  bool on_grid = false;
 
   bool empty() const { return workloads == 0; }
 };
@@ -50,6 +62,7 @@ struct AggregateView {
   double sum_peak_cos1 = 0.0;  // sum of per-workload CoS1 peaks
   double peak_cos1 = 0.0;      // peak of the aggregated CoS1 series
   std::size_t workloads = 0;
+  bool on_grid = false;        // as Aggregate::on_grid
 
   AggregateView() = default;
   AggregateView(const Aggregate& agg)
@@ -58,7 +71,8 @@ struct AggregateView {
         cos2(agg.cos2),
         sum_peak_cos1(agg.sum_peak_cos1),
         peak_cos1(agg.peak_cos1),
-        workloads(agg.workloads) {}
+        workloads(agg.workloads),
+        on_grid(agg.on_grid) {}
 
   bool empty() const { return workloads == 0; }
 };
@@ -75,14 +89,66 @@ struct Evaluation {
   }
 };
 
-/// Replays the aggregate at `capacity` under `cos2` (the deadline is taken
-/// from the commitment; theta in the commitment is *not* used here — compare
-/// via Evaluation::satisfies). Days whose slots neither violate CoS1 nor
-/// leave a deficit (while the backlog is empty) take a vectorized path that
-/// performs the exact per-slot arithmetic without the FIFO bookkeeping —
-/// the result is bit-identical to the sequential replay by construction.
+/// The dense replay: replays all n slots of the aggregate at `capacity`
+/// under `cos2` (the deadline is taken from the commitment; theta in the
+/// commitment is *not* used here — compare via Evaluation::satisfies). Days
+/// whose slots neither violate CoS1 nor leave a deficit (while the backlog
+/// is empty) take a vectorized path that performs the exact per-slot
+/// arithmetic without the FIFO bookkeeping — the result is bit-identical to
+/// the sequential replay by construction. This is the path that records
+/// into an active flight recorder and that reports a failing capacity's
+/// full statistics; required_capacity's probes use the sparse replay
+/// below instead whenever the input is on the grid.
 Evaluation evaluate(const AggregateView& agg, double capacity,
                     const qos::CosCommitment& cos2);
+
+/// The required-capacity search's yes/no question — does `capacity`
+/// satisfy the commitment? — asked of one aggregate at many capacities.
+///
+/// When the aggregate is on the grid (Aggregate::on_grid) and the capacity
+/// is a grid value below grid::kSumLimit, the probe is sparse: built once,
+/// it holds each (week, slot-of-day) group's requested CoS2 sum and the
+/// CoS1+CoS2 peak of every kBlock-slot block. A probe skips each block that
+/// fits under the capacity while the deferral backlog is empty, replays the
+/// other slots with evaluate()'s arithmetic and deferral calls, and stops at
+/// the first CoS1 overcommit, overdue deferral, or group whose ratio already
+/// falls below the committed theta. All replay sums are exact on the grid,
+/// so satisfied CoS2 per group equals requested minus the summed deficit bit
+/// for bit: the verdict equals evaluate()'s, and a satisfying probe (which
+/// never exits early) returns evaluate()'s Evaluation bit for bit
+/// (docs/algorithms.md §5). Every other input is answered by evaluate().
+///
+/// Counts one `sim.evaluate.calls` per probe; `sim.evaluate.slots` counts
+/// the slots a sparse probe actually replays. The aggregate's series must
+/// outlive the probe.
+class CapacityProbe {
+ public:
+  static constexpr std::size_t kBlock = 32;  // slots per skip block
+
+  CapacityProbe(const AggregateView& agg, const qos::CosCommitment& cos2);
+
+  /// True when `capacity` satisfies `cos2`; `out` then holds its full
+  /// Evaluation. A failing probe may stop early and leaves `out` unspecified.
+  bool operator()(double capacity, Evaluation& out);
+
+  /// True when a probe at `capacity` takes the sparse replay.
+  bool sparse_at(double capacity) const;
+
+ private:
+  bool replay(double capacity, Evaluation& out, std::size_t& read);
+  double ratio(std::size_t g) const {
+    return (requested_[g] - deficit_[g]) / requested_[g];
+  }
+
+  AggregateView agg_;
+  qos::CosCommitment cos2_;
+  bool sparse_;
+  std::size_t deadline_slots_ = 0;
+  std::vector<double> requested_;  // per group, summed CoS2 requests
+  std::vector<double> block_max_;  // per block, max of s1 + s2
+  std::vector<double> deficit_;    // per group, this probe's summed deficit
+  std::vector<std::size_t> touched_;  // groups with a deficit, to reset
+};
 
 /// Per-(week, slot) diagnostics: where and when a server's commitment is
 /// tightest. The theta statistic is a min over these groups, so an operator
@@ -122,6 +188,10 @@ double capacity_grid_step(double tolerance);
 ///   { k * capacity_grid_step(tolerance) : k*step in [CoS1 peak, limit] }
 /// with `limit` itself as the last-resort candidate. An empty aggregate
 /// trivially fits with required capacity 0.
+///
+/// Each candidate is judged by one CapacityProbe built for the search, so
+/// on-grid input is probed sparsely and `at_capacity` is bit-identical to
+/// evaluate() at the reported capacity.
 ///
 /// `warm_capacity` (>= 0) seeds the search near a previous verdict for the
 /// same server — the incremental engine's O(1)-ish re-verdict after a small

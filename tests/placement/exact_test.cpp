@@ -50,7 +50,7 @@ TEST(Exact, HeterogeneousPoolsHandled) {
   f.cos2 = qos::CosCommitment{1.0, 10080.0};
   const trace::Calendar cal = testing::tiny_calendar();
   for (double d : {5.0, 5.0, 2.0}) {  // 10,10,4 CPUs of allocation
-    f.demands.emplace_back("w" + std::to_string(f.demands.size()), cal,
+    f.demands.emplace_back(testing::workload_name(f.demands.size()), cal,
                            std::vector<double>(cal.size(), d));
   }
   for (const auto& d : f.demands) {

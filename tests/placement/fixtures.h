@@ -16,6 +16,14 @@ namespace ropus::placement::testing {
 
 inline trace::Calendar tiny_calendar() { return trace::Calendar(1, 720); }
 
+/// "w0", "w1", ...: workload names built by appending, which keeps GCC 12's
+/// -Wrestrict false positive on `"w" + std::to_string(i)` away.
+inline std::string workload_name(std::size_t i) {
+  std::string name = "w";
+  name += std::to_string(i);
+  return name;
+}
+
 inline qos::Requirement flat_requirement() {
   qos::Requirement r;
   r.u_low = 0.5;
@@ -44,7 +52,7 @@ inline Fixture flat_problem(const std::vector<double>& demand_cpus,
   f.cos2 = qos::CosCommitment{theta, 10080.0};
   const trace::Calendar cal = tiny_calendar();
   for (std::size_t i = 0; i < demand_cpus.size(); ++i) {
-    f.demands.emplace_back("w" + std::to_string(i), cal,
+    f.demands.emplace_back(workload_name(i), cal,
                            std::vector<double>(cal.size(), demand_cpus[i]));
   }
   for (const auto& d : f.demands) {

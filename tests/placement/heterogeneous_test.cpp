@@ -17,7 +17,7 @@ testing::Fixture hetero_problem(const std::vector<double>& demand_cpus,
   f.cos2 = qos::CosCommitment{theta, 10080.0};
   const trace::Calendar cal = testing::tiny_calendar();
   for (std::size_t i = 0; i < demand_cpus.size(); ++i) {
-    f.demands.emplace_back("w" + std::to_string(i), cal,
+    f.demands.emplace_back(testing::workload_name(i), cal,
                            std::vector<double>(cal.size(), demand_cpus[i]));
   }
   for (const auto& d : f.demands) {

@@ -40,7 +40,8 @@ Fixture make_fixture(const std::vector<double>& cpus,
                      std::size_t server_cpus, double server_mem) {
   Fixture f;
   for (std::size_t i = 0; i < cpus.size(); ++i) {
-    const std::string name = "w" + std::to_string(i);
+    std::string name = "w";
+    name += std::to_string(i);
     const DemandTrace cpu(name, tiny(),
                           std::vector<double>(tiny().size(), cpus[i]));
     qos::WorkloadAllocations w(

@@ -36,7 +36,8 @@ ServeConfig small_config() {
 std::string admit_line(const std::string& app, double level) {
   std::string profile = std::to_string(level);
   for (std::size_t i = 1; i < kWeekSlots; ++i) {
-    profile += "," + std::to_string(level);
+    profile += ',';
+    profile += std::to_string(level);
   }
   return R"({"type":"admit","app":")" + app + R"(","profile":[)" + profile +
          "]}";
