@@ -595,10 +595,10 @@ int main() {
     for (std::size_t i = 0; i < 8; ++i) ptrs.push_back(&allocations()[i]);
     const sim::Aggregate agg =
         sim::aggregate_workloads(ptrs, demands()[0].calendar());
-    report(run_bench("evaluate", agg.cos1.size(),
+    report(run_bench("evaluate", agg.cos1().size(),
                      [&] { do_not_optimize(sim::evaluate(agg, 16.0, cos2())); }),
            reporter);
-    report(run_bench("required_capacity", agg.cos1.size(), [&] {
+    report(run_bench("required_capacity", agg.cos1().size(), [&] {
              do_not_optimize(sim::required_capacity(agg, 16.0, cos2()));
            }),
            reporter);
@@ -629,13 +629,11 @@ int main() {
     sim::IncrementalEvaluator engine(cal, cos2(),
                                      std::vector<double>{64.0, 64.0, 64.0});
     for (std::size_t id = 0; id < n; ++id) {
-      engine.register_workload(id, allocations()[id].cos1(),
-                               allocations()[id].cos2());
+      engine.register_workload(id, allocations()[id]);
       engine.add(id, id < 6 ? id % 2 : 2);
     }
     // The probe candidate stays unhosted for the whole phase.
-    engine.register_workload(n, allocations()[n].cos1(),
-                             allocations()[n].cos2());
+    engine.register_workload(n, allocations()[n]);
     (void)engine.verdict(0);
     (void)engine.verdict(1);
     (void)engine.verdict(2);
@@ -673,7 +671,7 @@ int main() {
     for (std::size_t i = 0; i < 4; ++i) ptrs.push_back(&allocs4[i]);
     const sim::Aggregate agg =
         sim::aggregate_workloads(ptrs, allocs4[0].calendar());
-    report(run_bench("sim/probe_sparse", agg.cos1.size(), [&] {
+    report(run_bench("sim/probe_sparse", agg.cos1().size(), [&] {
              do_not_optimize(sim::required_capacity(agg, 16.0, cos2()));
            }),
            reporter);

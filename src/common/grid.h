@@ -8,17 +8,24 @@
 // heuristic: IEEE-754 doubles represent every multiple of 2^-20 up to 2^33
 // exactly, and sums/differences of exactly-representable values whose result
 // is again representable are computed exactly. So as long as per-slot sums
-// stay under kGridSumLimit (2^33 CPUs — eight orders of magnitude above any
+// stay under kSumLimit (2^33 CPUs — eight orders of magnitude above any
 // real server), plain double `+=` / `-=` over on-grid values is EXACT:
 //   - order-independent (batch sum in any order gives the same bits),
 //   - reversible (add then remove restores the previous bits), and
 //   - mergeable (partial sums combine to the full sum's bits).
 // That is what lets sim::IncrementalEvaluator maintain per-server aggregates
 // under add/remove/move and still produce verdicts bit-identical to the
-// batch oracle (sim::aggregate_workloads + sim::required_capacity), at full
-// hardware speed and with no exotic arithmetic. Inputs that reach the engine
-// off-grid (hand-built test aggregates, external data) are detected and
-// served by the documented batch fallback instead (docs/algorithms.md §11).
+// batch oracle (sim::aggregate_workloads + sim::required_capacity), and
+// what lets the capacity search's sparse probe skip slots exactly, at full
+// hardware speed and with no exotic arithmetic.
+//
+// Being on the grid is a construction invariant, not a property checked
+// later (docs/algorithms.md §5, §11): qos::AllocationTrace snaps on
+// construction; sim::Aggregate is built only from allocation traces or by
+// a factory that snaps and rejects negative or non-finite values; the
+// engine accepts only allocation traces; and aggregates, the engine and
+// serve refuse per-slot totals that would reach sim::kGridTotalLimit and
+// capacity limits off the grid. No code path exists for off-grid input.
 //
 // Layering: common depends on nothing; slo, qos, and sim all share these
 // helpers.

@@ -95,26 +95,6 @@ void PlacementProblem::memo_store(std::span<const std::size_t> sorted_ids,
   cache_.emplace(std::move(key), v);
 }
 
-ServerVerdict PlacementProblem::server_required_capacity(
-    std::vector<std::size_t> workload_ids,
-    const sim::ServerSpec& server) const {
-  std::sort(workload_ids.begin(), workload_ids.end());
-  ServerVerdict v;
-  if (memo_find(workload_ids, server.cpus, v)) return v;
-  std::vector<const qos::AllocationTrace*> hosted;
-  hosted.reserve(workload_ids.size());
-  for (std::size_t id : workload_ids) {
-    ROPUS_REQUIRE(id < workloads_.size(), "unknown workload id");
-    hosted.push_back(&workloads_[id]);
-  }
-  const sim::Aggregate agg = sim::aggregate_workloads(hosted, calendar_);
-  const sim::RequiredCapacity rc =
-      sim::required_capacity(agg, server.capacity(), cos2_, tolerance_);
-  v = ServerVerdict{rc.fits, rc.capacity};
-  memo_store(workload_ids, server.cpus, v);
-  return v;
-}
-
 double PlacementProblem::utilization_score(double utilization,
                                            std::size_t cpus) {
   ROPUS_REQUIRE(utilization >= 0.0 && utilization <= 1.0,
@@ -143,23 +123,9 @@ void PlacementProblem::score_server(ServerEvaluation& se,
 }
 
 PlacementEvaluation PlacementProblem::evaluate(const Assignment& a) const {
-  validate_assignment(a, workloads_.size(), servers_.size());
-  PlacementEvaluation ev;
-  ev.servers.resize(servers_.size());
-  ev.feasible = true;
-
-  const auto by_server = workloads_by_server(a, servers_.size());
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    ServerEvaluation& se = ev.servers[s];
-    se.workloads = by_server[s];
-    if (se.workloads.empty()) {
-      se.score = 1.0;  // idle server: reward for freeing it entirely
-      ev.score += se.score;
-      continue;
-    }
-    const ServerVerdict v = server_required_capacity(se.workloads, servers_[s]);
-    score_server(se, v, servers_[s], ev);
-  }
+  std::unique_ptr<PlacementContext> ctx = acquire_context();
+  PlacementEvaluation ev = ctx->evaluate(a);
+  release_context(std::move(ctx));
   return ev;
 }
 
@@ -208,8 +174,7 @@ DeltaPlacementContext::DeltaPlacementContext(const PlacementProblem& problem)
       engine_(problem.calendar_, problem.cos2_, capacities_of(problem.servers_),
               problem.tolerance_) {
   for (std::size_t id = 0; id < problem.workloads_.size(); ++id) {
-    const qos::AllocationTrace& w = problem.workloads_[id];
-    engine_.register_workload(id, w.cos1(), w.cos2());
+    engine_.register_workload(id, problem.workloads_[id]);
   }
 }
 

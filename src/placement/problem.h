@@ -7,15 +7,15 @@
 //                     (U = R / L, Z = CPUs on the server),
 //   -N                for an overbooked server hosting N workloads.
 //
-// Per-server verdicts are memoized on the (workload set, server size) key —
-// most subsets repeat across genetic generations — and the memo stores only
-// the {fits, capacity} pair scoring consumes, so it stays small. Memo
-// misses are served by the reversible delta-evaluation engine
+// Every verdict comes from the reversible delta-evaluation engine
 // (sim/incremental.h) through DeltaPlacementContext: a searcher's context
 // mutates per-server exact sums in O(slots) per moved workload and
 // re-verdicts only the servers an assignment actually changed, with bits
-// identical to the batch path (the model's evaluate() here remains the
-// oracle the equivalence tests pin against).
+// identical to sim::required_capacity over sim::aggregate_workloads (the
+// oracle the equivalence tests rebuild for themselves). Per-server verdicts
+// are also memoized on the (workload set, server size) key — most subsets
+// repeat across genetic generations — and the memo stores only the {fits,
+// capacity} pair scoring consumes, so it stays small.
 #pragma once
 
 #include <mutex>
@@ -56,8 +56,8 @@ class PlacementProblem final : public PlacementModel {
   /// Sum of per-application peak allocation requests — Table I's C_peak.
   double total_peak_allocation() const override;
 
-  /// Full batch evaluation of an assignment (validates it first) — the
-  /// oracle the delta context is pinned against.
+  /// Evaluates an assignment (validates it first) on a pooled delta
+  /// context: acquire, evaluate, release.
   PlacementEvaluation evaluate(const Assignment& a) const override;
 
   /// First-fit-decreasing (see baselines.h) as the greedy seed.
@@ -76,11 +76,6 @@ class PlacementProblem final : public PlacementModel {
   /// by the bit-equality contract, decisive for verdict-cache warmth.
   std::unique_ptr<PlacementContext> acquire_context() const override;
   void release_context(std::unique_ptr<PlacementContext> ctx) const override;
-
-  /// Verdict of one candidate server hosting `workload_ids` (memoized).
-  /// Sorted or unsorted input accepted.
-  ServerVerdict server_required_capacity(std::vector<std::size_t> workload_ids,
-                                         const sim::ServerSpec& server) const;
 
   /// f(U) = U^(2 Z) — exposed for tests and the mutation heuristic.
   static double utilization_score(double utilization, std::size_t cpus);
@@ -101,8 +96,8 @@ class PlacementProblem final : public PlacementModel {
   void memo_store(std::span<const std::size_t> sorted_ids, std::size_t cpus,
                   ServerVerdict v) const;
 
-  /// Scores one server given its verdict, identically for the batch and
-  /// delta paths — the single place the objective arithmetic lives.
+  /// Scores one server given its verdict — the single place the objective
+  /// arithmetic lives.
   static void score_server(ServerEvaluation& se, const ServerVerdict& v,
                            const sim::ServerSpec& spec,
                            PlacementEvaluation& ev);
@@ -134,9 +129,9 @@ class PlacementProblem final : public PlacementModel {
         const std::pair<std::span<const std::size_t>, std::size_t>& b) const;
   };
   // Mutable: the memo is a performance detail invisible to callers. The
-  // lock makes evaluate() safe from concurrent threads (the genetic search
-  // evaluates a generation's offspring in parallel); lookups share it,
-  // inserts take it exclusively.
+  // lock makes it safe to share between contexts on concurrent threads (the
+  // genetic search evaluates a generation's offspring in parallel); lookups
+  // share it, inserts take it exclusively.
   mutable std::shared_mutex cache_mutex_;
   mutable std::unordered_map<MemoKey, ServerVerdict, MemoHash, MemoEq> cache_;
 
@@ -156,7 +151,7 @@ class DeltaPlacementContext final : public PlacementContext {
  public:
   explicit DeltaPlacementContext(const PlacementProblem& problem);
 
-  /// Bit-identical to problem.evaluate(a), incrementally.
+  /// Bit-identical to a fresh evaluation of `a`, incrementally.
   PlacementEvaluation evaluate(const Assignment& a) override;
 
   /// Verdict of `server` with currently-unhosted `workload` added; engine

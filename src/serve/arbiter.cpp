@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/error.h"
+#include "common/grid.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "qos/translation.h"
@@ -39,6 +40,10 @@ const char* telemetry_name(wlm::ObservationClass cls) {
 /// additionally bounded by the id space below kPoolApp (0xFFFF).
 constexpr std::size_t kMaxApps = 1024;
 constexpr std::size_t kMaxLifetimeApps = 0xFFFE;
+/// Per-app peak allocation bound: kMaxApps apps at this peak still sum
+/// below the capacity model's per-slot limit, so no admission can push the
+/// engine off the exact grid.
+constexpr double kMaxAppPeak = sim::kGridTotalLimit / kMaxApps;
 
 }  // namespace
 
@@ -62,6 +67,8 @@ void ServeConfig::validate() const {
                 "slots_per_day x minutes_per_sample must cover one day");
   ROPUS_REQUIRE(servers > 0, "pool needs at least one server");
   ROPUS_REQUIRE(server_cpus > 0.0, "server capacity must be > 0");
+  ROPUS_REQUIRE(grid::on_grid(server_cpus),
+                "server capacity must be a multiple of 2^-20 CPU");
   ROPUS_REQUIRE(history_window >= 1, "history window must be >= 1");
   ROPUS_REQUIRE(max_slot_gap >= 1, "max slot gap must be >= 1");
 }
@@ -161,7 +168,7 @@ sim::IncrementalEvaluator& Arbiter::engine_for(
     engine_ = std::make_unique<sim::IncrementalEvaluator>(
         calendar, config_.cos2, server_cpus_);
     for (const App& app : apps_) {
-      engine_->register_workload(app.id, app.alloc.cos1(), app.alloc.cos2());
+      engine_->register_workload(app.id, app.alloc);
       engine_->add(app.id, app.host);
     }
   }
@@ -185,6 +192,10 @@ Arbiter::App Arbiter::build_app(const AdmitMessage& msg,
     trace::DemandTrace profile(msg.app, calendar, msg.profile);
     App app(msg.app, static_cast<std::uint16_t>(next_app_id_), req,
             std::move(profile), config_.cos2, config_);
+    if (!(app.alloc.peak_allocation() < kMaxAppPeak)) {
+      throw ProtocolViolation(ProtocolError::kBadValue,
+                              "profile peak allocation exceeds 2^20 CPUs");
+    }
     app.revenue = msg.revenue;
     return app;
   } catch (const ProtocolViolation&) {
@@ -215,23 +226,13 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
             std::to_string(apps_.front().profile.size()) + " slots)");
   }
 
-  // Both paths probe the delta-evaluation engine; they differ only in
-  // whether the engine persists across admissions. The candidate is
-  // registered for the probes and unregistered before this lambda returns,
-  // so a rejection (or the renegotiation retry with a different allocation
-  // under the same id) leaves no trace in the persistent engine.
+  // The candidate is registered for the probes and unregistered before this
+  // lambda returns, so a rejection (or the renegotiation retry with a
+  // different allocation under the same id) leaves no trace in the
+  // persistent engine.
   const auto place = [&](const App& app) {
-    if (!config_.delta_admission) {
-      std::vector<HostedWorkload> hosted;
-      hosted.reserve(apps_.size());
-      for (const App& existing : apps_) {
-        hosted.push_back(HostedWorkload{&existing.alloc, existing.host});
-      }
-      return place_candidate(app.alloc, msg.revenue, hosted, server_cpus_,
-                             config_.cos2, config_.admission);
-    }
     sim::IncrementalEvaluator& engine = engine_for(app.alloc.calendar());
-    engine.register_workload(app.id, app.alloc.cos1(), app.alloc.cos2());
+    engine.register_workload(app.id, app.alloc);
     const AdmissionOutcome out =
         place_candidate(engine, app.id, app.alloc.peak_allocation(),
                         msg.revenue, config_.admission);
@@ -289,15 +290,12 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
   }
   w.end_object();
   apps_.push_back(std::move(candidate));
-  if (config_.delta_admission && engine_ != nullptr) {
-    // Mirror the admission into the persistent engine. Registering the
-    // *stored* app's spans (not the moved-from local's) keeps the borrow
-    // tied to the allocation that now lives in apps_.
-    const App& stored = apps_.back();
-    engine_->register_workload(stored.id, stored.alloc.cos1(),
-                               stored.alloc.cos2());
-    engine_->add(stored.id, stored.host);
-  }
+  // Mirror the admission into the persistent engine place() built.
+  // Registering the *stored* app's trace (not the moved-from local's) keeps
+  // the borrow tied to the allocation that now lives in apps_.
+  const App& stored = apps_.back();
+  engine_->register_workload(stored.id, stored.alloc);
+  engine_->add(stored.id, stored.host);
   next_app_id_ += 1;
   if (state_changed != nullptr) *state_changed = true;
   return w.str();

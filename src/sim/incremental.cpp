@@ -21,16 +21,8 @@ obs::Counter& rebuilds_counter() {
   static obs::Counter& c = obs::counter("sim.incremental.sum_rebuilds");
   return c;
 }
-obs::Counter& fallbacks_counter() {
-  static obs::Counter& c = obs::counter("sim.incremental.batch_fallbacks");
-  return c;
-}
 obs::Counter& delta_probes_counter() {
   static obs::Counter& c = obs::counter("sim.incremental.delta_probes");
-  return c;
-}
-obs::Counter& batch_probes_counter() {
-  static obs::Counter& c = obs::counter("sim.incremental.batch_probes");
   return c;
 }
 }  // namespace
@@ -39,44 +31,31 @@ IncrementalEvaluator::IncrementalEvaluator(const trace::Calendar& calendar,
                                            const qos::CosCommitment& cos2,
                                            std::vector<double> server_cpus,
                                            double tolerance)
-    : calendar_(calendar),
-      cos2_(cos2),
-      tolerance_(tolerance),
-      exact_limit_(grid::kSumLimit) {
+    : calendar_(calendar), cos2_(cos2), tolerance_(tolerance) {
   cos2_.validate();
-  ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
+  ROPUS_REQUIRE(tolerance >= grid::kStep,
+                "tolerance must be at least the 2^-20 allocation grid");
   servers_.resize(server_cpus.size());
   for (std::size_t s = 0; s < server_cpus.size(); ++s) {
-    ROPUS_REQUIRE(server_cpus[s] >= 0.0, "server capacity must be >= 0");
+    ROPUS_REQUIRE(server_cpus[s] >= 0.0 && grid::on_grid(server_cpus[s]),
+                  "server capacity must be a grid value >= 0");
     servers_[s].cpus = server_cpus[s];
     servers_[s].sum1.assign(calendar_.size(), 0.0);
     servers_[s].sum2.assign(calendar_.size(), 0.0);
-    servers_[s].sums_valid = true;  // an empty server's sums are zero
   }
 }
 
-void IncrementalEvaluator::register_workload(std::size_t id,
-                                             std::span<const double> cos1,
-                                             std::span<const double> cos2) {
-  ROPUS_REQUIRE(cos1.size() == calendar_.size() &&
-                    cos2.size() == calendar_.size(),
-                "workload series must match the engine calendar");
+void IncrementalEvaluator::register_workload(
+    std::size_t id, const qos::AllocationTrace& trace) {
+  ROPUS_REQUIRE(trace.calendar() == calendar_,
+                "workload trace must live on the engine calendar");
   if (id >= workloads_.size()) workloads_.resize(id + 1);
   Workload& w = workloads_[id];
   ROPUS_REQUIRE(w.host == npos, "cannot re-register a hosted workload");
-  w.cos1 = cos1;
-  w.cos2 = cos2;
-  w.peak_cos1 = 0.0;
-  w.peak_total = 0.0;
-  w.on_grid = true;
-  for (std::size_t i = 0; i < cos1.size(); ++i) {
-    w.peak_cos1 = std::max(w.peak_cos1, cos1[i]);
-    w.peak_total = std::max(w.peak_total, cos1[i] + cos2[i]);
-    if (!grid::on_grid(cos1[i]) || !grid::on_grid(cos2[i]) ||
-        !(cos1[i] >= 0.0) || !(cos2[i] >= 0.0)) {
-      w.on_grid = false;
-    }
-  }
+  w.cos1 = trace.cos1();
+  w.cos2 = trace.cos2();
+  w.peak_cos1 = trace.peak_cos1();
+  w.peak_total = trace.peak_allocation();
   w.active = true;
 }
 
@@ -143,21 +122,22 @@ void IncrementalEvaluator::queue_pending(Server& s, std::size_t id,
   s.pending.push_back(PendingOp{id, sign});
 }
 
+void IncrementalEvaluator::require_in_range(const Server& s,
+                                            const Workload& w) {
+  ROPUS_REQUIRE(s.sum_peak_total + w.peak_total < kGridTotalLimit,
+                "server allocation total would exceed the capacity model's "
+                "2^30 CPU limit");
+}
+
 void IncrementalEvaluator::add(std::size_t id, std::size_t server) {
   workload_checked(id);
   Workload& w = workloads_[id];
   ROPUS_REQUIRE(w.host == npos, "workload already hosted");
   ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
   Server& s = servers_[server];
+  require_in_range(s, w);
   s.ids.insert(std::ranges::lower_bound(s.ids, id), id);
-  if (s.sums_valid && w.on_grid && s.off_grid == 0 &&
-      s.sum_peak_total + w.peak_total <= exact_limit_) {
-    queue_pending(s, id, +1.0);
-  } else {
-    s.sums_valid = false;
-    s.pending.clear();
-  }
-  if (!w.on_grid) s.off_grid += 1;
+  queue_pending(s, id, +1.0);
   s.sum_peak_total += w.peak_total;
   s.verdict_valid = false;
   w.host = server;
@@ -171,12 +151,9 @@ void IncrementalEvaluator::remove(std::size_t id) {
   const auto it = std::ranges::lower_bound(s.ids, id);
   ROPUS_REQUIRE(it != s.ids.end() && *it == id, "engine id set corrupted");
   s.ids.erase(it);
-  if (s.sums_valid) {
-    // sums_valid implies every hosted workload (including this one) is
-    // on-grid and in budget, so the queued subtraction is an exact inverse.
-    queue_pending(s, id, -1.0);
-  }
-  if (!w.on_grid) s.off_grid -= 1;
+  // Every hosted workload is on the grid and in range, so the queued
+  // subtraction is an exact inverse.
+  queue_pending(s, id, -1.0);
   s.sum_peak_total -= w.peak_total;
   s.verdict_valid = false;
   w.host = npos;
@@ -188,18 +165,10 @@ void IncrementalEvaluator::move(std::size_t id, std::size_t server) {
   add(id, server);
 }
 
-AggregateView IncrementalEvaluator::view_of(const Server& s) const {
-  AggregateView v;
-  v.calendar = &calendar_;
-  v.cos1 = s.sum1;
-  v.cos2 = s.sum2;
-  v.sum_peak_cos1 = s.sum_peak_cos1;
-  v.peak_cos1 = s.peak_cos1;
-  v.workloads = s.ids.size();
-  // Hosted workloads are on the grid and non-negative (delta_eligible), so
-  // the sum of their peaks bounds every slot's total.
-  v.on_grid = s.sum_peak_total < kGridTotalLimit;
-  return v;
+AggregateView IncrementalEvaluator::view_of(const Server& s,
+                                            std::size_t workloads) const {
+  return AggregateView(calendar_, s.sum1, s.sum2, s.sum_peak_cos1,
+                       s.peak_cos1, workloads);
 }
 
 void IncrementalEvaluator::rebuild_sums(Server& s) {
@@ -213,13 +182,12 @@ void IncrementalEvaluator::rebuild_sums(Server& s) {
     s.sum_peak_cos1 += w.peak_cos1;
   }
   s.pending.clear();
-  s.sums_valid = true;
 }
 
 bool IncrementalEvaluator::ensure_sums(Server& s) {
-  if (!s.sums_valid || s.pending.size() >= s.ids.size()) {
-    // Sums are gone, or replaying the queue costs as much as starting
-    // over — rebuild in one pass.
+  if (s.pending.size() >= s.ids.size()) {
+    // Replaying the queue costs as much as starting over — rebuild in one
+    // pass.
     rebuild_sums(s);
     return true;
   }
@@ -232,49 +200,6 @@ bool IncrementalEvaluator::ensure_sums(Server& s) {
   return false;
 }
 
-RequiredCapacity IncrementalEvaluator::batch_verdict(const Server& s,
-                                                     const Workload* extra) {
-  // Full re-aggregation in ascending-id order — exactly what the batch
-  // oracle does for this hosted set — into scratch buffers, leaving the
-  // server's own (stale) sums untouched.
-  const std::size_t n = calendar_.size();
-  scratch1_.assign(n, 0.0);
-  scratch2_.assign(n, 0.0);
-  double sum_peak_cos1 = 0.0;
-  const std::size_t extra_id =
-      extra != nullptr ? static_cast<std::size_t>(extra - workloads_.data())
-                       : npos;
-  bool extra_done = extra == nullptr;
-  const auto accumulate = [&](const Workload& w) {
-    const double* const c1 = w.cos1.data();
-    const double* const c2 = w.cos2.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch1_[i] += c1[i];
-      scratch2_[i] += c2[i];
-    }
-    sum_peak_cos1 += w.peak_cos1;
-  };
-  for (const std::size_t id : s.ids) {
-    if (!extra_done && extra_id < id) {
-      accumulate(*extra);
-      extra_done = true;
-    }
-    accumulate(workloads_[id]);
-  }
-  if (!extra_done) accumulate(*extra);
-  double peak = 0.0;
-  for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, scratch1_[i]);
-
-  AggregateView v;
-  v.calendar = &calendar_;
-  v.cos1 = scratch1_;
-  v.cos2 = scratch2_;
-  v.sum_peak_cos1 = sum_peak_cos1;
-  v.peak_cos1 = peak;
-  v.workloads = s.ids.size() + (extra != nullptr ? 1 : 0);
-  return required_capacity(v, s.cpus, cos2_, tolerance_);
-}
-
 const RequiredCapacity& IncrementalEvaluator::verdict(std::size_t server) {
   ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
   Server& s = servers_[server];
@@ -283,21 +208,15 @@ const RequiredCapacity& IncrementalEvaluator::verdict(std::size_t server) {
     cache_hits_counter().add(1);
     return s.verdict;
   }
-  if (delta_eligible(s)) {
-    if (ensure_sums(s)) {
-      stats_.sum_rebuilds += 1;
-      rebuilds_counter().add(1);
-    } else {
-      stats_.delta_verdicts += 1;
-      delta_verdicts_counter().add(1);
-    }
-    s.verdict = required_capacity(view_of(s), s.cpus, cos2_, tolerance_,
-                                  s.warm);
+  if (ensure_sums(s)) {
+    stats_.sum_rebuilds += 1;
+    rebuilds_counter().add(1);
   } else {
-    stats_.batch_fallbacks += 1;
-    fallbacks_counter().add(1);
-    s.verdict = batch_verdict(s, nullptr);
+    stats_.delta_verdicts += 1;
+    delta_verdicts_counter().add(1);
   }
+  s.verdict = required_capacity(view_of(s, s.ids.size()), s.cpus, cos2_,
+                                tolerance_, s.warm);
   if (s.verdict.fits) s.warm = s.verdict.capacity;
   s.verdict_valid = true;
   return s.verdict;
@@ -309,32 +228,24 @@ RequiredCapacity IncrementalEvaluator::probe(std::size_t server,
   const Workload& w = workload_checked(id);
   ROPUS_REQUIRE(w.host == npos, "probe requires an unhosted workload");
   Server& s = servers_[server];
-  if (w.on_grid && delta_eligible(s) &&
-      s.sum_peak_total + w.peak_total <= exact_limit_) {
-    if (ensure_sums(s)) {
-      stats_.sum_rebuilds += 1;
-      rebuilds_counter().add(1);
-    }
-    stats_.delta_probes += 1;
-    delta_probes_counter().add(1);
-    const double saved_sum_peak = s.sum_peak_cos1;
-    apply_series(s, w, +1.0);
-    s.sum_peak_cos1 += w.peak_cos1;
-    AggregateView v = view_of(s);
-    v.workloads = s.ids.size() + 1;
-    v.on_grid = s.sum_peak_total + w.peak_total < kGridTotalLimit;
-    const RequiredCapacity out =
-        required_capacity(v, s.cpus, cos2_, tolerance_, s.warm);
-    // Exact restore: the subtraction returns every slot (and hence the
-    // recomputed peak) to its previous bits.
-    apply_series(s, w, -1.0);
-    s.sum_peak_cos1 = saved_sum_peak;
-    if (out.fits) s.warm = out.capacity;
-    return out;
+  require_in_range(s, w);
+  if (ensure_sums(s)) {
+    stats_.sum_rebuilds += 1;
+    rebuilds_counter().add(1);
   }
-  stats_.batch_probes += 1;
-  batch_probes_counter().add(1);
-  return batch_verdict(s, &w);
+  stats_.delta_probes += 1;
+  delta_probes_counter().add(1);
+  const double saved_sum_peak = s.sum_peak_cos1;
+  apply_series(s, w, +1.0);
+  s.sum_peak_cos1 += w.peak_cos1;
+  const RequiredCapacity out = required_capacity(
+      view_of(s, s.ids.size() + 1), s.cpus, cos2_, tolerance_, s.warm);
+  // Exact restore: the subtraction returns every slot (and hence the
+  // recomputed peak) to its previous bits.
+  apply_series(s, w, -1.0);
+  s.sum_peak_cos1 = saved_sum_peak;
+  if (out.fits) s.warm = out.capacity;
+  return out;
 }
 
 }  // namespace ropus::sim

@@ -3,31 +3,26 @@
 // (sim::required_capacity results) bit-identical to the batch oracle.
 //
 // Why this works (docs/algorithms.md §11): allocation traces are snapped to
-// the 2^-20 CPU grid at construction (common/grid.h), so per-slot sums of
-// registered workloads are computed *exactly* by plain double arithmetic as
-// long as they stay under grid::kSumLimit. Exact sums are order-independent
-// and reversible: after any sequence of adds and removes a server's per-slot
-// aggregate holds the same bits the batch `sim::aggregate_workloads` would
-// produce, and removing a workload restores the previous bits. Verdicts run
-// through the same `sim::required_capacity` grid search as the batch path —
-// a pure function of the aggregate — warm-started from the server's last
-// verdict, so a small move re-verdicts in a couple of sparse probes
-// instead of a full cold search over a rebuilt aggregate. Views over the
-// maintained sums carry the on-grid flag, so verdicts and probes take the
-// search's sparse probe.
+// the 2^-20 CPU grid at construction (common/grid.h), and add() and probe()
+// keep the sum of a server's workload peaks — which bounds every per-slot
+// total — below kGridTotalLimit, throwing InvalidArgument otherwise. So the
+// per-slot sums are computed *exactly* by plain double arithmetic. Exact
+// sums are order-independent and reversible: after any sequence of adds and
+// removes a server's per-slot aggregate holds the same bits the batch
+// `sim::aggregate_workloads` would produce, and removing a workload restores
+// the previous bits. Verdicts run through the same `sim::required_capacity`
+// grid search and sparse probe as the batch path — a pure function of the
+// aggregate — warm-started from the server's last verdict, so a small move
+// re-verdicts in a couple of probes instead of a full cold search over a
+// rebuilt aggregate. There is no other path: every input the engine accepts
+// is on the grid. The `stats()` tallies (also exported as
+// `sim.incremental.*` obs counters) report the cache hits, rebuilds and
+// searches.
 //
-// Inputs outside the grid contract — workloads with off-grid values, or
-// negative ones the sparse probe cannot skip over (hand-built test data,
-// external feeds), or servers whose peak sums exceed grid::kSumLimit — are
-// detected and served by the batch fallback: the aggregate is rebuilt from
-// scratch in ascending-id order for every verdict, which is slower but
-// still agrees with the oracle bit for bit. The `stats()` tallies (also
-// exported as `sim.incremental.*` obs counters) report how often each path
-// ran.
-//
-// The engine does not own trace data: register_workload borrows spans that
-// must outlive the registration (placement borrows from its workload list,
-// serve from the admitted App's allocation trace).
+// The engine does not own trace data: register_workload borrows the trace's
+// series, which must outlive the registration (placement borrows from its
+// workload list, serve from the admitted App's allocation trace; moving an
+// AllocationTrace keeps its series where they are).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +30,7 @@
 #include <span>
 #include <vector>
 
+#include "qos/allocation.h"
 #include "qos/requirements.h"
 #include "sim/simulator.h"
 #include "trace/calendar.h"
@@ -43,18 +39,17 @@ namespace ropus::sim {
 
 class IncrementalEvaluator {
  public:
-  /// Counters for the delta-vs-batch split, mirrored into the obs registry.
+  /// Work counters, mirrored into the obs registry.
   struct Stats {
     std::uint64_t verdict_cache_hits = 0;  // hosted set unchanged
     std::uint64_t delta_verdicts = 0;      // search over maintained sums
     std::uint64_t sum_rebuilds = 0;        // sums rebuilt before a verdict
-    std::uint64_t batch_fallbacks = 0;     // off-grid / overflow verdicts
-    std::uint64_t delta_probes = 0;        // probe() on the delta path
-    std::uint64_t batch_probes = 0;        // probe() on the fallback path
+    std::uint64_t delta_probes = 0;        // probe() searches
   };
 
   /// One engine evaluates one pool: `server_cpus[s]` is server s's capacity
-  /// limit. Workload traces must live on `calendar`.
+  /// limit, a grid value as required_capacity requires. Workload traces must
+  /// live on `calendar`.
   IncrementalEvaluator(const trace::Calendar& calendar,
                        const qos::CosCommitment& cos2,
                        std::vector<double> server_cpus,
@@ -64,12 +59,12 @@ class IncrementalEvaluator {
   double server_cpus(std::size_t server) const { return servers_[server].cpus; }
   const trace::Calendar& calendar() const { return calendar_; }
 
-  /// Registers (or re-registers) workload data under `id`. The spans must
-  /// match the calendar length and stay valid until unregistration; the
-  /// engine scans them once for peaks and the on-grid check. A hosted id
-  /// cannot be re-registered.
-  void register_workload(std::size_t id, std::span<const double> cos1,
-                         std::span<const double> cos2);
+  /// Registers (or re-registers) `trace` under `id`. It must live on the
+  /// engine's calendar, and its series must stay valid until
+  /// unregistration; the peaks come from the trace. A hosted id cannot be
+  /// re-registered.
+  void register_workload(std::size_t id, const qos::AllocationTrace& trace);
+  void register_workload(std::size_t id, qos::AllocationTrace&&) = delete;
 
   /// Forgets `id` (must not be hosted).
   void unregister_workload(std::size_t id);
@@ -84,9 +79,10 @@ class IncrementalEvaluator {
     return id < workloads_.size() ? workloads_[id].host : npos;
   }
 
-  /// Hosts `id` on `server` / removes it / moves it. O(slots) when the
-  /// server's sums are maintained (the usual case), O(1) bookkeeping when
-  /// they will be rebuilt anyway.
+  /// Hosts `id` on `server` / removes it / moves it: O(1) bookkeeping, the
+  /// O(slots) series pass is queued until a verdict or probe needs the sums.
+  /// add() throws InvalidArgument when the server's summed workload peaks
+  /// would reach kGridTotalLimit.
   void add(std::size_t id, std::size_t server);
   void remove(std::size_t id);
   void move(std::size_t id, std::size_t server);
@@ -104,7 +100,8 @@ class IncrementalEvaluator {
   const RequiredCapacity& verdict(std::size_t server);
 
   /// The verdict `server` would have with `id` (unhosted) temporarily
-  /// added; every bit of engine state is restored before returning.
+  /// added; every bit of engine state is restored before returning. Throws
+  /// InvalidArgument where add() would.
   RequiredCapacity probe(std::size_t server, std::size_t id);
 
   const Stats& stats() const { return stats_; }
@@ -115,7 +112,6 @@ class IncrementalEvaluator {
     std::span<const double> cos2;
     double peak_cos1 = 0.0;
     double peak_total = 0.0;
-    bool on_grid = false;  // every value on the grid and non-negative
     bool active = false;
     std::size_t host = npos;
   };
@@ -134,26 +130,20 @@ class IncrementalEvaluator {
     double cpus = 0.0;
     std::vector<std::size_t> ids;  // ascending
     // Exact per-slot sums; together with `pending` they reproduce the
-    // hosted set exactly while sums_valid.
+    // hosted set exactly.
     std::vector<double> sum1;
     std::vector<double> sum2;
     std::vector<PendingOp> pending;  // queued add/remove series passes
     double sum_peak_cos1 = 0.0;
     double peak_cos1 = 0.0;
-    // Conservative magnitude bookkeeping for the exactness bound; small
-    // drift is irrelevant (it only feeds a threshold eight orders of
-    // magnitude above real pools).
+    // Sum of the hosted workloads' peak totals: bounds every per-slot
+    // total, and is itself exact (on-grid values below the limit).
     double sum_peak_total = 0.0;
-    std::size_t off_grid = 0;  // hosted workloads with off-grid values
-    bool sums_valid = false;
     bool verdict_valid = false;
     RequiredCapacity verdict;
     double warm = -1.0;  // last satisfying capacity, the search seed
   };
 
-  bool delta_eligible(const Server& s) const {
-    return s.off_grid == 0 && s.sum_peak_total <= exact_limit_;
-  }
   const Workload& workload_checked(std::size_t id) const;
   /// Adds (sign +1) or removes (sign -1) w's series into s's sums,
   /// recomputing the aggregate CoS1 peak in the same pass.
@@ -161,24 +151,20 @@ class IncrementalEvaluator {
   /// Queues one series pass, cancelling against an opposite queued op for
   /// the same id (add-then-remove nets to nothing, exactly).
   static void queue_pending(Server& s, std::size_t id, double sign);
+  /// Throws InvalidArgument unless `w` fits under the limit on `s`.
+  static void require_in_range(const Server& s, const Workload& w);
   /// Brings sums up to date with the hosted set: applies the pending queue
-  /// (O(slots) per op) or rebuilds from scratch when that is cheaper or the
-  /// sums are gone. Returns true when it rebuilt. Precondition:
-  /// delta_eligible(s).
+  /// (O(slots) per op) or rebuilds from scratch when that is cheaper.
+  /// Returns true when it rebuilt.
   bool ensure_sums(Server& s);
   void rebuild_sums(Server& s);
-  AggregateView view_of(const Server& s) const;
-  RequiredCapacity batch_verdict(const Server& s, const Workload* extra);
+  AggregateView view_of(const Server& s, std::size_t workloads) const;
 
   trace::Calendar calendar_;
   qos::CosCommitment cos2_;
   double tolerance_;
-  double exact_limit_;
   std::vector<Workload> workloads_;  // indexed by id
   std::vector<Server> servers_;
-  // Fallback scratch (batch rebuilds), reused across calls.
-  std::vector<double> scratch1_;
-  std::vector<double> scratch2_;
   Stats stats_;
 };
 

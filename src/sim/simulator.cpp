@@ -32,36 +32,59 @@ obs::Counter& evaluate_slots() {
 }
 }  // namespace
 
+Aggregate::Aggregate(const trace::Calendar& calendar)
+    : calendar_(calendar),
+      cos1_(calendar.size(), 0.0),
+      cos2_(calendar.size(), 0.0) {}
+
+void Aggregate::finish() {
+  for (std::size_t i = 0; i < cos1_.size(); ++i) {
+    peak_cos1_ = std::max(peak_cos1_, cos1_[i]);
+    peak_total_ = std::max(peak_total_, cos1_[i] + cos2_[i]);
+  }
+  ROPUS_REQUIRE(peak_total_ < kGridTotalLimit,
+                "per-slot allocation total exceeds the capacity model's "
+                "2^30 CPU limit");
+}
+
+Aggregate Aggregate::from_series(const trace::Calendar& calendar,
+                                 std::span<const double> cos1,
+                                 std::span<const double> cos2) {
+  ROPUS_REQUIRE(cos1.size() == calendar.size() &&
+                    cos2.size() == calendar.size(),
+                "aggregate series must match the calendar");
+  Aggregate agg(calendar);
+  for (std::size_t i = 0; i < cos1.size(); ++i) {
+    ROPUS_REQUIRE(std::isfinite(cos1[i]) && cos1[i] >= 0.0 &&
+                      std::isfinite(cos2[i]) && cos2[i] >= 0.0,
+                  "aggregate values must be finite and >= 0");
+    agg.cos1_[i] = grid::snap(cos1[i]);
+    agg.cos2_[i] = grid::snap(cos2[i]);
+  }
+  agg.workloads_ = 1;
+  agg.finish();
+  agg.sum_peak_cos1_ = agg.peak_cos1_;
+  return agg;
+}
+
 Aggregate aggregate_workloads(
     std::span<const qos::AllocationTrace* const> workloads,
     const trace::Calendar& calendar) {
-  Aggregate agg;
-  agg.calendar = calendar;
-  agg.cos1.assign(calendar.size(), 0.0);
-  agg.cos2.assign(calendar.size(), 0.0);
+  Aggregate agg(calendar);
   for (const qos::AllocationTrace* w : workloads) {
     ROPUS_REQUIRE(w != nullptr, "null workload");
     ROPUS_REQUIRE(w->calendar() == calendar,
                   "workloads must share the server calendar");
     const std::span<const double> c1 = w->cos1();
     const std::span<const double> c2 = w->cos2();
-    for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
-      agg.cos1[i] += c1[i];
-      agg.cos2[i] += c2[i];
+    for (std::size_t i = 0; i < agg.cos1_.size(); ++i) {
+      agg.cos1_[i] += c1[i];
+      agg.cos2_[i] += c2[i];
     }
-    agg.sum_peak_cos1 += w->peak_cos1();
-    agg.workloads += 1;
+    agg.sum_peak_cos1_ += w->peak_cos1();
+    agg.workloads_ += 1;
   }
-  // Allocation traces are snapped to the grid on construction, so the sums
-  // are on it too; what remains to check is sign and magnitude (a NaN fails
-  // the sign test).
-  bool non_negative = true;
-  for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-    agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
-    non_negative = non_negative && agg.cos1[i] >= 0.0 && agg.cos2[i] >= 0.0;
-  }
-  agg.on_grid = non_negative && agg.peak_total < kGridTotalLimit;
+  agg.finish();
   return agg;
 }
 
@@ -71,123 +94,66 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
   cos2.validate();
   Evaluation ev;
   if (agg.empty()) return ev;
-  evaluate_calls().add(1);
-  evaluate_slots().add(agg.calendar->size());
-
-  const trace::Calendar& cal = *agg.calendar;
-  const std::size_t deadline_slots = cal.observations_in(cos2.deadline_minutes);
+  const trace::Calendar& cal = agg.calendar();
   const std::size_t n = cal.size();
-  const std::size_t spd = cal.slots_per_day();
-  const double* const s1v = agg.cos1.data();
-  const double* const s2v = agg.cos2.data();
+  evaluate_calls().add(1);
+  evaluate_slots().add(n);
 
-  // Flight recording: each evaluate() call opens its own section, so the
-  // capacity search's repeated passes over the same slots stay separable in
-  // the recording. Pool-aggregate records carry the exact satisfied CoS2.
+  // Flight recording: each evaluate() call opens its own section, so
+  // repeated passes over the same slots stay separable in the recording.
+  // Pool-aggregate records carry the exact satisfied CoS2.
   obs::Recorder* const rec = obs::Recorder::active();
   if (rec != nullptr) {
     rec->set_calendar(static_cast<double>(cal.minutes_per_sample()),
                       cal.slots_per_day());
     rec->begin_section();
   }
+  const auto record = [&](std::size_t i, double s1, double s2, double granted,
+                          double sat2) {
+    if (rec == nullptr || !rec->should_record(i)) return;
+    obs::SlotRecord r;
+    r.slot = static_cast<std::uint32_t>(i);
+    r.app = obs::kPoolApp;
+    r.section = rec->section();
+    r.telemetry = static_cast<std::uint8_t>(obs::TelemetryMark::kOk);
+    r.demand = s1 + s2;
+    r.cos1 = s1;
+    r.cos2 = s2;
+    r.granted = granted;
+    r.satisfied2 = sat2;  // exact — the watchdog's theta sums match
+    rec->append(r);
+  };
 
   // Per (week, slot-of-day) group sums and the deferral FIFO both live in
   // the slo kernel (src/slo/kernel.h), shared with the online watchdog.
   slo::ThetaAccumulator theta(cal.weeks(), cal.slots_per_day());
-  slo::DeferralQueue backlog(deadline_slots);
-
-  // Scratch for the vectorized day path (stack-friendly, one day at most).
-  double satbuf[1024];
-  std::vector<double> satheap;
-  double* sat_run = satbuf;
-  if (spd > std::size(satbuf)) {
-    satheap.resize(spd);
-    sat_run = satheap.data();
-  }
-
-  std::size_t i = 0;
-  while (i < n) {
-    // The remainder of the current calendar day: groups are consecutive
-    // within it, so pure days become one ThetaAccumulator::add_run.
-    const std::size_t end = std::min(n, i + (spd - i % spd));
-
-    // A day is "pure" when no slot violates CoS1, no slot leaves a CoS2
-    // deficit above the epsilon defer() would enqueue, the backlog is empty
-    // going in (nothing to drain or expire), and nothing is recording. On
-    // such a day the sequential loop below degenerates to theta adds of
-    // sat2 = min(s2, max(0, C - s1)); computing exactly those values in a
-    // vector pass is bit-identical by construction.
-    bool pure = rec == nullptr && backlog.empty();
-    if (pure) {
-      double m1 = 0.0;
-      double mt = 0.0;
-      for (std::size_t j = i; j < end; ++j) {
-        m1 = std::max(m1, s1v[j]);
-        mt = std::max(mt, s1v[j] + s2v[j]);
-      }
-      pure = m1 <= capacity + kCapacityEps && mt <= capacity + kCapacityEps;
-    }
-    if (pure) {
-      for (std::size_t j = i; j < end; ++j) {
-        sat_run[j - i] = std::min(s2v[j], std::max(0.0, capacity - s1v[j]));
-      }
-      theta.add_run(i, std::span(s2v + i, end - i),
-                    std::span(sat_run, end - i));
-      i = end;
-      continue;
-    }
-
-    for (; i < end; ++i) {
-      const double s1 = s1v[i];
-      const double s2 = s2v[i];
-      if (s1 > capacity + kCapacityEps) {
+  slo::DeferralQueue backlog(cal.observations_in(cos2.deadline_minutes));
+  const std::span<const double> s1v = agg.cos1();
+  const std::span<const double> s2v = agg.cos2();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s1 = s1v[i];
+    const double s2 = s2v[i];
+    if (s1 > capacity + kCapacityEps) {
+      // All of the capacity went to (part of) CoS1. CoS1 is the guaranteed
+      // class; once violated the placement is invalid regardless of the
+      // statistics, so stop early.
+      record(i, s1, s2, capacity, 0.0);
       ev.cos1_satisfied = false;
-      if (rec != nullptr && rec->should_record(i)) {
-        obs::SlotRecord record;
-        record.slot = static_cast<std::uint32_t>(i);
-        record.app = obs::kPoolApp;
-        record.section = rec->section();
-        record.telemetry = static_cast<std::uint8_t>(obs::TelemetryMark::kOk);
-        record.demand = s1 + s2;
-        record.cos1 = s1;
-        record.cos2 = s2;
-        record.granted = capacity;  // all of it went to (part of) CoS1
-        record.satisfied2 = 0.0;
-        rec->append(record);
-      }
-      // CoS1 is the guaranteed class; once violated the placement is
-      // invalid regardless of the statistics, so stop early.
       ev.theta = 0.0;
       ev.deadline_met = false;
       return ev;
     }
     const double available = std::max(0.0, capacity - s1);
     const double sat2 = std::min(s2, available);
-    const double deficit = s2 - sat2;
-
     theta.add(i, s2, sat2);
-
-    if (rec != nullptr && rec->should_record(i)) {
-      obs::SlotRecord record;
-      record.slot = static_cast<std::uint32_t>(i);
-      record.app = obs::kPoolApp;
-      record.section = rec->section();
-      record.telemetry = static_cast<std::uint8_t>(obs::TelemetryMark::kOk);
-      record.demand = s1 + s2;
-      record.cos1 = s1;
-      record.cos2 = s2;
-      record.granted = s1 + sat2;
-      record.satisfied2 = sat2;  // exact — the watchdog's theta sums match
-      rec->append(record);
-    }
+    record(i, s1, s2, s1 + sat2, sat2);
 
     // Spare capacity (after serving this slot's requests) drains the oldest
     // deferred demand first.
     backlog.drain(available - sat2);
-    backlog.defer(i, deficit);
+    backlog.defer(i, s2 - sat2);
     ev.max_backlog = std::max(ev.max_backlog, backlog.total());
     if (backlog.overdue(i)) ev.deadline_met = false;
-    }
   }
   // Anything still queued past its deadline at the end of the trace counts.
   if (backlog.overdue_at_end(n)) ev.deadline_met = false;
@@ -200,13 +166,13 @@ ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity) {
   ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
   ThetaBreakdown breakdown;
   if (agg.empty()) return breakdown;
-  const trace::Calendar& cal = agg.calendar;
+  const trace::Calendar& cal = agg.calendar();
   slo::ThetaAccumulator theta(cal.weeks(), cal.slots_per_day());
   for (std::size_t i = 0; i < cal.size(); ++i) {
-    const double s1 = agg.cos1[i];
+    const double s1 = agg.cos1()[i];
     ROPUS_REQUIRE(s1 <= capacity + kCapacityEps,
                   "CoS1 exceeds capacity; breakdown is undefined");
-    const double s2 = agg.cos2[i];
+    const double s2 = agg.cos2()[i];
     theta.add(i, s2, std::min(s2, std::max(0.0, capacity - s1)));
   }
   breakdown.group_ratios = theta.ratios();
@@ -226,17 +192,17 @@ double capacity_grid_step(double tolerance) {
 
 CapacityProbe::CapacityProbe(const AggregateView& agg,
                              const qos::CosCommitment& cos2)
-    : agg_(agg), cos2_(cos2), sparse_(agg.on_grid && !agg.empty()) {
+    : agg_(agg), cos2_(cos2) {
   cos2.validate();
-  if (!sparse_) return;
-  const trace::Calendar& cal = *agg.calendar;
+  if (agg.empty()) return;
+  const trace::Calendar& cal = agg.calendar();
   const std::size_t n = cal.size();
   const std::size_t spd = cal.slots_per_day();
   deadline_slots_ = cal.observations_in(cos2.deadline_minutes);
   requested_.assign(cal.weeks() * spd, 0.0);
   deficit_.assign(requested_.size(), 0.0);
   // Group sums in slot order, as the dense replay adds them.
-  const double* s2 = agg.cos2.data();
+  const double* s2 = agg.cos2().data();
   for (std::size_t w = 0; w < cal.weeks(); ++w) {
     double* const req = requested_.data() + w * spd;
     for (std::size_t d = 0; d < trace::Calendar::kDaysPerWeek; ++d) {
@@ -247,21 +213,18 @@ CapacityProbe::CapacityProbe(const AggregateView& agg,
   for (std::size_t b = 0; b < block_max_.size(); ++b) {
     double m = 0.0;
     for (std::size_t i = b * kBlock; i < std::min(n, (b + 1) * kBlock); ++i) {
-      m = std::max(m, agg.cos1[i] + agg.cos2[i]);
+      m = std::max(m, agg.cos1()[i] + agg.cos2()[i]);
     }
     block_max_[b] = m;
   }
 }
 
-bool CapacityProbe::sparse_at(double capacity) const {
-  return sparse_ && grid::on_grid(capacity) && capacity < grid::kSumLimit;
-}
-
 bool CapacityProbe::operator()(double capacity, Evaluation& out) {
-  ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
-  if (!sparse_at(capacity)) {
-    out = evaluate(agg_, capacity, cos2_);
-    return out.satisfies(cos2_);
+  ROPUS_REQUIRE(capacity >= 0.0 && grid::on_grid(capacity),
+                "probe capacity must be a grid value >= 0");
+  if (agg_.empty()) {
+    out = Evaluation{};
+    return true;
   }
   evaluate_calls().add(1);
   std::size_t read = 0;
@@ -276,12 +239,12 @@ bool CapacityProbe::operator()(double capacity, Evaluation& out) {
 // slot that decides it. `read` counts the slots actually replayed.
 bool CapacityProbe::replay(double capacity, Evaluation& out,
                            std::size_t& read) {
-  const trace::Calendar& cal = *agg_.calendar;
+  const trace::Calendar& cal = agg_.calendar();
   const std::size_t n = cal.size();
   const std::size_t spd = cal.slots_per_day();
   const std::size_t week = trace::Calendar::kDaysPerWeek * spd;
-  const double* const s1v = agg_.cos1.data();
-  const double* const s2v = agg_.cos2.data();
+  const double* const s1v = agg_.cos1().data();
+  const double* const s2v = agg_.cos2().data();
   slo::DeferralQueue backlog(deadline_slots_);
   Evaluation ev;
   for (std::size_t b = 0; b < block_max_.size(); ++b) {
@@ -324,8 +287,10 @@ bool CapacityProbe::replay(double capacity, Evaluation& out,
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
                                    const qos::CosCommitment& cos2,
                                    double tolerance, double warm_capacity) {
-  ROPUS_REQUIRE(limit >= 0.0, "capacity limit must be >= 0");
-  ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
+  ROPUS_REQUIRE(limit >= 0.0 && grid::on_grid(limit),
+                "capacity limit must be a grid value >= 0");
+  ROPUS_REQUIRE(tolerance >= grid::kStep,
+                "tolerance must be at least the 2^-20 allocation grid");
   static obs::Counter& searches = obs::counter("sim.required_capacity.searches");
   static obs::Histogram& seconds =
       obs::histogram("sim.required_capacity.seconds");
@@ -351,7 +316,7 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
 
   // Section VI-A's precheck: the sum of per-workload CoS1 peaks may not
   // exceed the server's capacity, or the workloads do not fit.
-  if (agg.sum_peak_cos1 > limit + kCapacityEps) return result;
+  if (agg.sum_peak_cos1() > limit + kCapacityEps) return result;
 
   // The candidate set: grid multiples k*step inside [CoS1 peak, limit],
   // with `limit` itself as the last resort when even the topmost grid point
@@ -361,7 +326,7 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
   // cold bisection here, warm galloping below — lands on the same bits.
   const double step = capacity_grid_step(tolerance);
   const std::int64_t k_lo =
-      static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
+      static_cast<std::int64_t>(std::ceil(agg.peak_cos1() / step));
   const std::int64_t k_hi =
       static_cast<std::int64_t>(std::floor(limit / step));
 

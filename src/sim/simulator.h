@@ -10,6 +10,7 @@
 // *required capacity*) for which both parts of the commitment hold.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/grid.h"
@@ -19,62 +20,108 @@
 
 namespace ropus::sim {
 
-/// Largest per-slot CoS1+CoS2 total an aggregate may carry and still count
-/// as on the grid: a (week, slot-of-day) theta group sums seven days of
-/// slots, and every such sum must stay below grid::kSumLimit to be exact.
+/// Largest per-slot CoS1+CoS2 total the capacity model accepts (2^30 CPUs):
+/// a (week, slot-of-day) theta group sums seven days of slots, and every
+/// such sum must stay below grid::kSumLimit to be exact.
 inline constexpr double kGridTotalLimit = grid::kSumLimit / 8;
 
 /// Aggregated per-slot allocation requests of a workload set (one server).
 /// Building this once lets the capacity search re-evaluate cheaply.
-struct Aggregate {
-  trace::Calendar calendar{1, 5};
-  std::vector<double> cos1;        // per-slot sum of CoS1 requests
-  std::vector<double> cos2;        // per-slot sum of CoS2 requests
-  double sum_peak_cos1 = 0.0;      // sum of per-workload CoS1 peaks
-  double peak_cos1 = 0.0;          // peak of the aggregated CoS1 series
-  double peak_total = 0.0;         // peak of the aggregated CoS1+CoS2 series
-  std::size_t workloads = 0;
-  /// Every value is a non-negative multiple of 2^-20 (common/grid.h) and
-  /// peak_total < kGridTotalLimit, so the replay's sums are exact — the
-  /// precondition of required_capacity's sparse probe. aggregate_workloads
-  /// sets it (allocation traces are snapped on construction); a hand-built
-  /// aggregate stays false, and its searches take the dense replay.
-  bool on_grid = false;
+///
+/// On the grid by construction: every value is a non-negative multiple of
+/// 2^-20 (common/grid.h) and every per-slot total is below kGridTotalLimit,
+/// so every replay sum is exact — the precondition of required_capacity's
+/// sparse probe. Only aggregate_workloads and from_series build one, and
+/// the series are read-only afterwards.
+class Aggregate {
+ public:
+  /// The validating series factory, for data that does not come from
+  /// allocation traces: snaps each value to the grid and counts the series
+  /// as one workload. Throws InvalidArgument on a length other than the
+  /// calendar's, a negative or non-finite value, or a per-slot total that
+  /// reaches kGridTotalLimit.
+  static Aggregate from_series(const trace::Calendar& calendar,
+                               std::span<const double> cos1,
+                               std::span<const double> cos2);
 
-  bool empty() const { return workloads == 0; }
+  const trace::Calendar& calendar() const { return calendar_; }
+  std::span<const double> cos1() const { return cos1_; }  // per-slot sums
+  std::span<const double> cos2() const { return cos2_; }
+  double sum_peak_cos1() const { return sum_peak_cos1_; }  // of workloads
+  double peak_cos1() const { return peak_cos1_; }    // of the CoS1 series
+  double peak_total() const { return peak_total_; }  // of CoS1 + CoS2
+  std::size_t workloads() const { return workloads_; }
+  bool empty() const { return workloads_ == 0; }
+
+ private:
+  friend Aggregate aggregate_workloads(
+      std::span<const qos::AllocationTrace* const> workloads,
+      const trace::Calendar& calendar);
+
+  explicit Aggregate(const trace::Calendar& calendar);
+  /// Sets the peaks; throws when a per-slot total reaches the limit.
+  void finish();
+
+  trace::Calendar calendar_;
+  std::vector<double> cos1_;
+  std::vector<double> cos2_;
+  double sum_peak_cos1_ = 0.0;
+  double peak_cos1_ = 0.0;
+  double peak_total_ = 0.0;
+  std::size_t workloads_ = 0;
 };
 
 /// Aggregates a set of allocation traces; they must share one calendar.
-/// An empty set yields an Aggregate with `workloads == 0` on `calendar`.
+/// An empty set yields an Aggregate with `workloads() == 0` on `calendar`.
+/// Allocation traces are snapped on construction, so the sums are on the
+/// grid; throws InvalidArgument when a per-slot total reaches
+/// kGridTotalLimit.
 Aggregate aggregate_workloads(
     std::span<const qos::AllocationTrace* const> workloads,
     const trace::Calendar& calendar);
 
 /// Non-owning view of an aggregate's per-slot series — the shape the replay
 /// actually consumes. `Aggregate` converts implicitly; the incremental
-/// engine (sim/incremental.h) builds views over its own per-server buffers,
-/// so delta and batch verdicts run through literally the same replay and
-/// search code.
-struct AggregateView {
-  const trace::Calendar* calendar = nullptr;
-  std::span<const double> cos1;
-  std::span<const double> cos2;
-  double sum_peak_cos1 = 0.0;  // sum of per-workload CoS1 peaks
-  double peak_cos1 = 0.0;      // peak of the aggregated CoS1 series
-  std::size_t workloads = 0;
-  bool on_grid = false;        // as Aggregate::on_grid
-
-  AggregateView() = default;
+/// engine (sim/incremental.h) builds views over its own per-server sums,
+/// which hold the same invariant, so engine and batch verdicts run through
+/// literally the same replay and search code.
+class AggregateView {
+ public:
   AggregateView(const Aggregate& agg)
-      : calendar(&agg.calendar),
-        cos1(agg.cos1),
-        cos2(agg.cos2),
-        sum_peak_cos1(agg.sum_peak_cos1),
-        peak_cos1(agg.peak_cos1),
-        workloads(agg.workloads),
-        on_grid(agg.on_grid) {}
+      : calendar_(&agg.calendar()),
+        cos1_(agg.cos1()),
+        cos2_(agg.cos2()),
+        sum_peak_cos1_(agg.sum_peak_cos1()),
+        peak_cos1_(agg.peak_cos1()),
+        workloads_(agg.workloads()) {}
 
-  bool empty() const { return workloads == 0; }
+  const trace::Calendar& calendar() const { return *calendar_; }
+  std::span<const double> cos1() const { return cos1_; }
+  std::span<const double> cos2() const { return cos2_; }
+  double sum_peak_cos1() const { return sum_peak_cos1_; }
+  double peak_cos1() const { return peak_cos1_; }
+  std::size_t workloads() const { return workloads_; }
+  bool empty() const { return workloads_ == 0; }
+
+ private:
+  friend class IncrementalEvaluator;
+
+  AggregateView(const trace::Calendar& calendar, std::span<const double> cos1,
+                std::span<const double> cos2, double sum_peak_cos1,
+                double peak_cos1, std::size_t workloads)
+      : calendar_(&calendar),
+        cos1_(cos1),
+        cos2_(cos2),
+        sum_peak_cos1_(sum_peak_cos1),
+        peak_cos1_(peak_cos1),
+        workloads_(workloads) {}
+
+  const trace::Calendar* calendar_;
+  std::span<const double> cos1_;
+  std::span<const double> cos2_;
+  double sum_peak_cos1_;
+  double peak_cos1_;
+  std::size_t workloads_;
 };
 
 /// Outcome of replaying an Aggregate against a fixed capacity.
@@ -91,48 +138,41 @@ struct Evaluation {
 
 /// The dense replay: replays all n slots of the aggregate at `capacity`
 /// under `cos2` (the deadline is taken from the commitment; theta in the
-/// commitment is *not* used here — compare via Evaluation::satisfies). Days
-/// whose slots neither violate CoS1 nor leave a deficit (while the backlog
-/// is empty) take a vectorized path that performs the exact per-slot
-/// arithmetic without the FIFO bookkeeping — the result is bit-identical to
-/// the sequential replay by construction. This is the path that records
-/// into an active flight recorder and that reports a failing capacity's
-/// full statistics; required_capacity's probes use the sparse replay
-/// below instead whenever the input is on the grid.
+/// commitment is *not* used here — compare via Evaluation::satisfies). This
+/// is the path that records into an active flight recorder and that reports
+/// any capacity's full statistics (core/backtest, core/repair_loop);
+/// required_capacity's probes use the sparse replay below instead.
 Evaluation evaluate(const AggregateView& agg, double capacity,
                     const qos::CosCommitment& cos2);
 
 /// The required-capacity search's yes/no question — does `capacity`
 /// satisfy the commitment? — asked of one aggregate at many capacities.
 ///
-/// When the aggregate is on the grid (Aggregate::on_grid) and the capacity
-/// is a grid value below grid::kSumLimit, the probe is sparse: built once,
-/// it holds each (week, slot-of-day) group's requested CoS2 sum and the
-/// CoS1+CoS2 peak of every kBlock-slot block. A probe skips each block that
-/// fits under the capacity while the deferral backlog is empty, replays the
-/// other slots with evaluate()'s arithmetic and deferral calls, and stops at
-/// the first CoS1 overcommit, overdue deferral, or group whose ratio already
-/// falls below the committed theta. All replay sums are exact on the grid,
-/// so satisfied CoS2 per group equals requested minus the summed deficit bit
-/// for bit: the verdict equals evaluate()'s, and a satisfying probe (which
-/// never exits early) returns evaluate()'s Evaluation bit for bit
-/// (docs/algorithms.md §5). Every other input is answered by evaluate().
+/// The probe is sparse: built once, it holds each (week, slot-of-day)
+/// group's requested CoS2 sum and the CoS1+CoS2 peak of every kBlock-slot
+/// block. A probe skips each block that fits under the capacity while the
+/// deferral backlog is empty, replays the other slots with evaluate()'s
+/// arithmetic and deferral calls, and stops at the first CoS1 overcommit,
+/// overdue deferral, or group whose ratio already falls below the committed
+/// theta. The aggregate and the capacity are on the grid, so every replay
+/// sum is exact and satisfied CoS2 per group equals requested minus the
+/// summed deficit bit for bit: the verdict equals evaluate()'s, and a
+/// satisfying probe (which never exits early) returns evaluate()'s
+/// Evaluation bit for bit (docs/algorithms.md §5).
 ///
-/// Counts one `sim.evaluate.calls` per probe; `sim.evaluate.slots` counts
-/// the slots a sparse probe actually replays. The aggregate's series must
-/// outlive the probe.
+/// Counts one `sim.evaluate.calls` per probe and, in `sim.evaluate.slots`,
+/// the slots it actually replays. The aggregate's series must outlive the
+/// probe.
 class CapacityProbe {
  public:
   static constexpr std::size_t kBlock = 32;  // slots per skip block
 
   CapacityProbe(const AggregateView& agg, const qos::CosCommitment& cos2);
 
-  /// True when `capacity` satisfies `cos2`; `out` then holds its full
-  /// Evaluation. A failing probe may stop early and leaves `out` unspecified.
+  /// True when `capacity` (a grid value, >= 0) satisfies `cos2`; `out` then
+  /// holds its full Evaluation. A failing probe may stop early and leaves
+  /// `out` unspecified.
   bool operator()(double capacity, Evaluation& out);
-
-  /// True when a probe at `capacity` takes the sparse replay.
-  bool sparse_at(double capacity) const;
 
  private:
   bool replay(double capacity, Evaluation& out, std::size_t& read);
@@ -142,7 +182,6 @@ class CapacityProbe {
 
   AggregateView agg_;
   qos::CosCommitment cos2_;
-  bool sparse_;
   std::size_t deadline_slots_ = 0;
   std::vector<double> requested_;  // per group, summed CoS2 requests
   std::vector<double> block_max_;  // per block, max of s1 + s2
@@ -189,9 +228,10 @@ double capacity_grid_step(double tolerance);
 /// with `limit` itself as the last-resort candidate. An empty aggregate
 /// trivially fits with required capacity 0.
 ///
-/// Each candidate is judged by one CapacityProbe built for the search, so
-/// on-grid input is probed sparsely and `at_capacity` is bit-identical to
-/// evaluate() at the reported capacity.
+/// `limit` must be on the 2^-20 grid (every integer CPU count is) and
+/// `tolerance` at least grid::kStep, so every candidate is a grid value.
+/// Each candidate is judged by one CapacityProbe built for the search, and
+/// `at_capacity` is bit-identical to evaluate() at the reported capacity.
 ///
 /// `warm_capacity` (>= 0) seeds the search near a previous verdict for the
 /// same server — the incremental engine's O(1)-ish re-verdict after a small

@@ -241,6 +241,13 @@ TEST_F(CliTest, FaultsimRejectsBadTelemetryRate) {
             1);
 }
 
+TEST_F(CliTest, ServeRejectsOffGridCpusAndRetiredFlag) {
+  // Checked before the daemon reads any input.
+  EXPECT_EQ(run_cli(args({"serve", "--cpus=16.3"})), 1);
+  EXPECT_NE(err_.str().find("--cpus"), std::string::npos) << err_.str();
+  EXPECT_EQ(run_cli(args({"serve", "--batch-admission"})), 1);
+}
+
 TEST_F(CliTest, FaultsimWritesReportFiles) {
   generate_traces();
   const std::string report = (dir_ / "campaign.txt").string();

@@ -173,7 +173,7 @@ void theta_lines(Lines& out) {
     const sim::Aggregate agg =
         sim::aggregate_workloads(ptrs, s.demands[0].calendar());
     const std::string key = "combo" + std::to_string(c);
-    out.add(key + ".peak_cos1", agg.peak_cos1);
+    out.add(key + ".peak_cos1", agg.peak_cos1());
 
     const sim::Evaluation ev = sim::evaluate(agg, combo.capacity, s.cos2);
     out.add(key + ".cos1_satisfied", ev.cos1_satisfied);

@@ -180,14 +180,14 @@ TEST(Watchdog, ThetaMatchesSimEvaluateBitForBit) {
   // recording back, and replay it through the watchdog: the streaming theta
   // must equal sim::evaluate's return value exactly.
   const trace::Calendar cal = trace::Calendar::standard(2);
-  sim::Aggregate agg;
-  agg.calendar = cal;
-  agg.workloads = 1;
+  std::vector<double> cos1;
+  std::vector<double> cos2;
   Rng rng(44);
   for (std::size_t i = 0; i < cal.size(); ++i) {
-    agg.cos1.push_back(rng.uniform(0.0, 4.0));
-    agg.cos2.push_back(rng.uniform(0.0, 8.0));
+    cos1.push_back(rng.uniform(0.0, 4.0));
+    cos2.push_back(rng.uniform(0.0, 8.0));
   }
+  const sim::Aggregate agg = sim::Aggregate::from_series(cal, cos1, cos2);
 
   const fs::path path =
       fs::temp_directory_path() /

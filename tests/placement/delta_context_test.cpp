@@ -1,9 +1,11 @@
-// DeltaPlacementContext vs the batch oracle: a context's evaluate() must be
-// bit-identical to PlacementProblem::evaluate() for ANY assignment sequence,
-// no matter what the context evaluated before (its engine state and warm
+// DeltaPlacementContext vs the batch oracle this file builds from
+// sim::required_capacity over sim::aggregate_workloads: a context's
+// evaluate() must be bit-identical to it for ANY assignment sequence, no
+// matter what the context evaluated before (its engine state and warm
 // seeds differ every time — the verdicts must not). Also the probe/add
 // surface the greedy placers use, and case-study-shaped workloads where
 // theta and the deferral deadline actually bind.
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -13,10 +15,59 @@
 #include "fixtures.h"
 #include "placement/baselines.h"
 #include "placement/problem.h"
+#include "sim/simulator.h"
 #include "workload/fleet.h"
 
 namespace ropus::placement {
 namespace {
+
+/// The batch oracle for one server hosting `ids`: a cold search over a
+/// freshly built aggregate.
+ServerVerdict oracle_verdict(const PlacementProblem& problem,
+                             const std::vector<std::size_t>& ids,
+                             const sim::ServerSpec& server) {
+  std::vector<const qos::AllocationTrace*> hosted;
+  for (const std::size_t id : ids) hosted.push_back(&problem.workloads()[id]);
+  const sim::RequiredCapacity rc = sim::required_capacity(
+      sim::aggregate_workloads(hosted, problem.workloads()[0].calendar()),
+      server.capacity(), problem.cos2(), problem.tolerance());
+  return ServerVerdict{rc.fits, rc.capacity};
+}
+
+/// The Section VI-B objective over oracle verdicts, scored from scratch.
+PlacementEvaluation oracle_evaluate(const PlacementProblem& problem,
+                                    const Assignment& a) {
+  PlacementEvaluation ev;
+  ev.feasible = true;
+  ev.servers.resize(problem.server_count());
+  const auto by_server = workloads_by_server(a, problem.server_count());
+  for (std::size_t s = 0; s < problem.server_count(); ++s) {
+    ServerEvaluation& se = ev.servers[s];
+    se.workloads = by_server[s];
+    if (se.workloads.empty()) {
+      se.score = 1.0;
+      ev.score += se.score;
+      continue;
+    }
+    const sim::ServerSpec& spec = problem.servers()[s];
+    const ServerVerdict v = oracle_verdict(problem, se.workloads, spec);
+    se.used = true;
+    ev.servers_used += 1;
+    se.fits = v.fits;
+    if (!v.fits) {
+      ev.feasible = false;
+      se.score = -static_cast<double>(se.workloads.size());
+    } else {
+      se.required_capacity = v.capacity;
+      se.utilization = std::min(1.0, v.capacity / spec.capacity());
+      se.score =
+          PlacementProblem::utilization_score(se.utilization, spec.cpus);
+      ev.total_required_capacity += v.capacity;
+    }
+    ev.score += se.score;
+  }
+  return ev;
+}
 
 void expect_same_evaluation(const PlacementEvaluation& a,
                             const PlacementEvaluation& b) {
@@ -54,7 +105,9 @@ TEST(DeltaContext, RandomAssignmentSequenceMatchesBatchBitForBit) {
             rng.uniform_index(f.problem->server_count());
       }
     }
-    expect_same_evaluation(ctx->evaluate(a), f.problem->evaluate(a));
+    expect_same_evaluation(ctx->evaluate(a), oracle_evaluate(*f.problem, a));
+    expect_same_evaluation(f.problem->evaluate(a),
+                           oracle_evaluate(*f.problem, a));
     if (HasFatalFailure()) FAIL() << "step " << step;
   }
 }
@@ -82,7 +135,9 @@ TEST(DeltaContext, CaseStudyWorkloadsMatchBatchWhereCommitmentsBind) {
   for (std::size_t step = 0; step < 30; ++step) {
     a[rng.uniform_index(a.size())] =
         rng.uniform_index(f.problem->server_count());
-    expect_same_evaluation(ctx->evaluate(a), f.problem->evaluate(a));
+    expect_same_evaluation(ctx->evaluate(a), oracle_evaluate(*f.problem, a));
+    expect_same_evaluation(f.problem->evaluate(a),
+                           oracle_evaluate(*f.problem, a));
     if (HasFatalFailure()) FAIL() << "step " << step;
   }
 }
@@ -109,8 +164,10 @@ TEST(DeltaContext, ProbeAgreesWithCommittedEvaluation) {
     ASSERT_LT(target, f.problem->server_count()) << w;
     ctx->add(w, target);
     hosted[target].push_back(w);
-    const ServerVerdict batch = f.problem->server_required_capacity(
-        hosted[target], f.problem->servers()[target]);
+    std::vector<std::size_t> ids = hosted[target];
+    std::sort(ids.begin(), ids.end());
+    const ServerVerdict batch =
+        oracle_verdict(*f.problem, ids, f.problem->servers()[target]);
     ASSERT_EQ(chosen.fits, batch.fits) << w;
     ASSERT_EQ(chosen.capacity, batch.capacity) << w;
   }
@@ -121,13 +178,11 @@ TEST(DeltaContext, ProbeAgreesWithCommittedEvaluation) {
   hosted[host].pop_back();
   if (!hosted[host].empty()) {
     const ServerVerdict after = ctx->probe(host, last);
-    const ServerVerdict batch = f.problem->server_required_capacity(
-        [&] {
-          auto ids = hosted[host];
-          ids.push_back(last);
-          return ids;
-        }(),
-        f.problem->servers()[host]);
+    std::vector<std::size_t> ids = hosted[host];
+    ids.push_back(last);
+    std::sort(ids.begin(), ids.end());
+    const ServerVerdict batch =
+        oracle_verdict(*f.problem, ids, f.problem->servers()[host]);
     ASSERT_EQ(after.fits, batch.fits);
     ASSERT_EQ(after.capacity, batch.capacity);
   }
@@ -140,11 +195,10 @@ TEST(DeltaContext, GreedyBaselinesUnchangedByTheDeltaPath) {
       {3.0, 3.0, 2.5, 2.5, 2.0, 2.0, 1.5, 1.0, 1.0, 0.5}, 6);
   const auto ffd = first_fit_decreasing(*f.problem);
   ASSERT_TRUE(ffd.has_value());
-  // Recompute every server verdict from scratch on a fresh problem (empty
-  // memo) and check the assignment is feasible with identical score.
-  testing::Fixture g = testing::flat_problem(
-      {3.0, 3.0, 2.5, 2.5, 2.0, 2.0, 1.5, 1.0, 1.0, 0.5}, 6);
-  expect_same_evaluation(f.problem->evaluate(*ffd), g.problem->evaluate(*ffd));
+  // Recompute every server verdict from scratch with the batch oracle and
+  // check the assignment scores identically.
+  expect_same_evaluation(f.problem->evaluate(*ffd),
+                         oracle_evaluate(*f.problem, *ffd));
 }
 
 }  // namespace

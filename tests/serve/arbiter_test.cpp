@@ -6,10 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/grid.h"
 #include "common/json.h"
+#include "common/rng.h"
+#include "qos/allocation.h"
+#include "qos/translation.h"
+#include "serve/admission.h"
+#include "sim/incremental.h"
+#include "trace/demand_trace.h"
 
 namespace ropus::serve {
 namespace {
@@ -114,6 +125,21 @@ TEST(ArbiterAdmit, OversizedWorkloadRejectedWithoutStateChange) {
   EXPECT_EQ(arbiter.app_count(), 0u);
 }
 
+TEST(ArbiterAdmit, PeakBeyondTheCapacityModelIsBadValue) {
+  // kMaxApps apps must stay below the capacity model's 2^30 CPU per-slot
+  // limit, so one app may not peak at 2^20 CPUs or more.
+  Arbiter arbiter(small_config());
+  EXPECT_EQ(rejection_code(arbiter, admit_line("huge", std::vector<double>(
+                                                           kWeekSlots, 1e7))),
+            ProtocolError::kBadValue);
+  EXPECT_EQ(arbiter.app_count(), 0u);
+  bool changed = true;
+  drive(arbiter, admit_line("web", std::vector<double>(kWeekSlots, 1.0)),
+        &changed);
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(arbiter.app_count(), 1u);
+}
+
 TEST(ArbiterAdmit, RenegotiatesToWeakerBandWhenStrictDoesNotFit) {
   // A mostly-flat profile with a short peak: at M=100 the peak must be
   // acceptable (alloc ~ peak/u_high); at the renegotiated M=90 those few
@@ -149,7 +175,8 @@ TEST(ArbiterAdmit, RenegotiatesToWeakerBandWhenStrictDoesNotFit) {
   ASSERT_LT(weak_need, strict_need)
       << "weaker band should need less capacity";
 
-  config.server_cpus = (strict_need + weak_need) / 2.0;
+  // Capacities must be on the 2^-20 allocation grid (ServeConfig::validate).
+  config.server_cpus = grid::snap((strict_need + weak_need) / 2.0);
   config.admission.renegotiate_m = 90.0;
   config.admission.renegotiate_tdegr = 120.0;
   Arbiter arbiter(config);
@@ -395,74 +422,187 @@ TEST(ArbiterIdCache, SurvivesSaveLoad) {
   EXPECT_FALSE(changed);
 }
 
-// The delta/batch admission switch is a pure performance knob: an arbiter
-// admitting through the persistent delta-evaluation engine and one forced
-// onto the stateless per-admission path must emit byte-identical replies
-// across the whole repertoire — accepts, rejects, renegotiations,
-// departures that release exact capacity residues, re-admissions into the
-// freed headroom, ticks, and a checkpoint round-trip.
-TEST(ArbiterAdmissionPath, DeltaAndBatchPathsAreByteIdentical) {
-  ServeConfig delta_config = small_config();
-  delta_config.servers = 1;
-  delta_config.server_cpus = 8.0;
-  ServeConfig batch_config = delta_config;
-  batch_config.delta_admission = false;
-  Arbiter delta(delta_config);
-  Arbiter batch(batch_config);
+// ---------------------------------------------------------------------------
+// Admission through the arbiter's persistent engine against a reference the
+// test builds for itself: a fresh engine over the fleet as the arbiter holds
+// it, scored by place_candidate with the arbiter's renegotiation rule.
 
-  const auto lockstep = [&](const std::string& line) {
-    const std::vector<std::string> a = drive(delta, line);
-    const std::vector<std::string> b = drive(batch, line);
-    EXPECT_EQ(a, b) << line;
-    return a;
-  };
+/// One admitted app as the reference fleet mirrors it.
+struct RefApp {
+  std::string name;
+  qos::AllocationTrace alloc;
+  std::size_t host;
+};
 
-  // Fill the pool until an admission is refused, so accepted AND rejected
-  // replies both flow through the comparison (self-calibrating, like
-  // ArbiterDepart.ReleasesCapacityForFutureAdmissions).
-  const std::vector<double> profile(kWeekSlots, 1.2);
-  std::size_t fitted = 0;
-  bool saw_reject = false;
-  for (; fitted < 32 && !saw_reject; ++fitted) {
-    const json::Value v = json::parse(
-        lockstep(admit_line("app" + std::to_string(fitted), profile))[0]);
-    saw_reject = v.at("decision").as_string() == "rejected";
+/// The arbiter's translation of an admission: same calendar, same kernel.
+qos::AllocationTrace translate_admit(const ServeConfig& config,
+                                     const AdmitMessage& msg,
+                                     const qos::Requirement& req) {
+  const trace::Calendar calendar(
+      msg.profile.size() / (7 * config.slots_per_day),
+      static_cast<std::size_t>(config.minutes_per_sample));
+  const trace::DemandTrace profile(msg.app, calendar, msg.profile);
+  return qos::AllocationTrace(profile,
+                              qos::translate(profile, req, config.cos2));
+}
+
+/// place_candidate on a fresh engine: every fleet app registered and hosted
+/// (under ids of the test's own choosing), then the candidate.
+AdmissionOutcome fresh_engine_place(const ServeConfig& config,
+                                    const std::vector<RefApp>& fleet,
+                                    const qos::AllocationTrace& candidate,
+                                    double revenue) {
+  sim::IncrementalEvaluator engine(
+      candidate.calendar(), config.cos2,
+      std::vector<double>(config.servers, config.server_cpus));
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    engine.register_workload(i, fleet[i].alloc);
+    engine.add(i, fleet[i].host);
   }
-  ASSERT_TRUE(saw_reject) << "pool never filled; the reject path went untested";
-  ASSERT_GE(fitted, 3u) << "need at least two admitted apps to churn";
+  engine.register_workload(fleet.size(), candidate);
+  return place_candidate(engine, fleet.size(), candidate.peak_allocation(),
+                         revenue, config.admission);
+}
 
-  lockstep(tick_line(0, R"({"app0":1.4,"app1":0.7})"));
-  // Departure and eviction must release the same exact capacity residue in
-  // the persistent engine as a stateless rebuild observes.
-  lockstep(R"({"type":"depart","app":"app1"})");
-  lockstep(R"({"type":"evict","app":"app0"})");
-  lockstep(admit_line("late", profile));
-  lockstep(tick_line(1, R"({"late":1.0,"app2":2.0})"));
+/// Drives `line` (an admission) through `arbiter` and checks its reply
+/// against the reference; on acceptance the reference fleet grows too.
+/// Returns the decision.
+std::string admit_and_compare(Arbiter& arbiter, const ServeConfig& config,
+                              std::vector<RefApp>& fleet,
+                              const std::string& line) {
+  const Message msg = parse_message(line);
+  const AdmitMessage& admit = msg.admit;
+  qos::Requirement req = admit.requirement;
+  qos::AllocationTrace alloc = translate_admit(config, admit, req);
+  AdmissionOutcome want =
+      fresh_engine_place(config, fleet, alloc, admit.revenue);
+  bool renegotiated = false;
+  if (want.decision == AdmissionDecision::kRejected &&
+      config.admission.renegotiate_m < req.m_percent) {
+    qos::Requirement weaker = req;
+    weaker.m_percent = config.admission.renegotiate_m;
+    if (config.admission.renegotiate_tdegr > 0.0) {
+      weaker.t_degr_minutes = config.admission.renegotiate_tdegr;
+    } else {
+      weaker.t_degr_minutes.reset();
+    }
+    qos::AllocationTrace weak_alloc = translate_admit(config, admit, weaker);
+    const AdmissionOutcome retry =
+        fresh_engine_place(config, fleet, weak_alloc, admit.revenue);
+    if (retry.decision == AdmissionDecision::kAccepted) {
+      want = retry;
+      req = weaker;
+      alloc = std::move(weak_alloc);
+      renegotiated = true;
+    }
+  }
 
-  EXPECT_EQ(delta.summary(), batch.summary());
-  json::Writer wd;
-  json::Writer wb;
-  delta.save_state(wd);
-  batch.save_state(wb);
-  // delta_admission is not checkpoint state, so the blobs must agree.
-  EXPECT_EQ(wd.str(), wb.str());
+  const std::vector<std::string> replies = arbiter.handle(msg);
+  EXPECT_EQ(replies.size(), 1u) << line;
+  if (replies.size() != 1) return "";
+  const json::Value got = json::parse(replies[0]);
+  const std::string decision = got.at("decision").as_string();
+  if (want.decision == AdmissionDecision::kRejected) {
+    EXPECT_EQ(decision, "rejected") << admit.app;
+    EXPECT_EQ(got.at("reason").as_string(), want.reason) << admit.app;
+    return decision;
+  }
+  EXPECT_EQ(decision, renegotiated ? "renegotiated" : "accepted") << admit.app;
+  EXPECT_EQ(got.at("host").as_number(), static_cast<double>(want.host))
+      << admit.app;
+  EXPECT_EQ(got.at("headroom").as_number(), want.headroom) << admit.app;
+  EXPECT_EQ(got.at("score").as_number(), want.score) << admit.app;
+  EXPECT_EQ(got.at("m").as_number(), req.m_percent) << admit.app;
+  fleet.push_back(RefApp{admit.app, std::move(alloc), want.host});
+  return decision;
+}
 
-  // load_state drops the delta arbiter's engine; the next admission
-  // rebuilds it from the restored fleet and must still match batch bytes.
-  Arbiter restored(delta_config);
-  restored.load_state(json::parse(wd.str()));
-  const std::string readmit = admit_line("post-restore", profile);
-  EXPECT_EQ(drive(restored, readmit), drive(batch, readmit));
-  const std::string t2 = tick_line(2, R"({"late":1.2,"post-restore":0.9})");
-  EXPECT_EQ(drive(restored, t2), drive(batch, t2));
-  EXPECT_EQ(restored.summary(), batch.summary());
+/// A one-week profile: a diurnal base, optionally with sharp spikes that
+/// only a weakened band can absorb.
+std::vector<double> random_profile(Rng& rng, bool spiky) {
+  std::vector<double> profile(kWeekSlots);
+  const double base = rng.uniform(0.6, 1.4);
+  for (std::size_t i = 0; i < kWeekSlots; ++i) {
+    const double phase = static_cast<double>(i % 24) / 24.0;
+    profile[i] = base * (1.0 + 0.3 * std::sin(6.283185307179586 * phase)) *
+                 rng.uniform(0.85, 1.15);
+    if (spiky && i % 29 == 7) profile[i] = base * 4.0;
+  }
+  return profile;
+}
+
+// Random admit/depart/evict sequences, with renegotiations and a mid-run
+// checkpoint restore: every admission reply of the arbiter (persistent
+// engine, carried across admissions and rebuilt after the restore) equals
+// the reference computed on a fresh engine.
+TEST(ArbiterAdmissionPath, DeltaAndBatchPathsAreByteIdentical) {
+  ServeConfig config = small_config();
+  config.admission.renegotiate_m = 90.0;
+  config.admission.renegotiate_tdegr = 120.0;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::size_t renegotiated = 0;
+  std::size_t departures = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    auto arbiter = std::make_unique<Arbiter>(config);
+    std::vector<RefApp> fleet;
+    std::size_t next = 0;
+    std::size_t slot = 0;
+    for (std::size_t step = 0; step < 40; ++step) {
+      const std::size_t roll = rng.uniform_index(10);
+      if (roll < 3 && !fleet.empty()) {
+        // Depart or evict: the persistent engine releases the app's exact
+        // residue, so the next admission sees the freed headroom.
+        const std::size_t victim = rng.uniform_index(fleet.size());
+        const bool evict = rng.uniform_index(2) == 0;
+        drive(*arbiter, std::string(R"({"type":")") +
+                            (evict ? "evict" : "depart") + R"(","app":")" +
+                            fleet[victim].name + "\"}");
+        fleet.erase(fleet.begin() + static_cast<std::ptrdiff_t>(victim));
+        departures += 1;
+      } else if (roll == 3) {
+        std::string demand = "{";
+        for (std::size_t i = 0; i < fleet.size(); ++i) {
+          if (i > 0) demand += ',';
+          demand += '"' + fleet[i].name + "\":" +
+                    std::to_string(rng.uniform(0.3, 2.5));
+        }
+        drive(*arbiter, tick_line(slot++, demand + "}"));
+      } else if (roll == 4 && step > 10) {
+        // Restore drops the persistent engine; the next admission rebuilds
+        // it from the restored fleet.
+        json::Writer w;
+        arbiter->save_state(w);
+        arbiter = std::make_unique<Arbiter>(config);
+        arbiter->load_state(json::parse(w.str()));
+      } else {
+        const bool spiky = rng.uniform_index(3) == 0;
+        const std::string line = admit_line(
+            "app" + std::to_string(next++), random_profile(rng, spiky),
+            (spiky ? std::string(R"("m":100,)") : std::string()) +
+                R"("revenue":)" + std::to_string(rng.uniform(0.5, 2.0)));
+        const std::string decision =
+            admit_and_compare(*arbiter, config, fleet, line);
+        accepted += decision == "accepted" ? 1u : 0u;
+        rejected += decision == "rejected" ? 1u : 0u;
+        renegotiated += decision == "renegotiated" ? 1u : 0u;
+      }
+      if (HasFailure()) return;
+    }
+  }
+  // The sequences really covered the repertoire.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(renegotiated, 0u);
+  EXPECT_GT(departures, 0u);
 }
 
 TEST(ArbiterAdmissionPath, RenegotiationMatchesAcrossPaths) {
   // A renegotiated admission probes the engine twice (strict band, then
-  // weakened band) with a register/unregister between — the delta path must
-  // leave no residue from the failed strict probe. Calibration mirrors
-  // ArbiterAdmit.RenegotiatesToWeakerBandWhenStrictDoesNotFit.
+  // weakened band) with a register/unregister between — the persistent
+  // engine must leave no residue from the failed strict probe. Calibration
+  // mirrors ArbiterAdmit.RenegotiatesToWeakerBandWhenStrictDoesNotFit.
   ServeConfig config = small_config();
   config.servers = 1;
   config.server_cpus = 64.0;
@@ -489,23 +629,67 @@ TEST(ArbiterAdmissionPath, RenegotiationMatchesAcrossPaths) {
   }
   ASSERT_LT(weak_need, strict_need);
 
-  config.server_cpus = (strict_need + weak_need) / 2.0;
+  config.server_cpus = grid::snap((strict_need + weak_need) / 2.0);
   config.admission.renegotiate_m = 90.0;
   config.admission.renegotiate_tdegr = 120.0;
-  ServeConfig batch_config = config;
-  batch_config.delta_admission = false;
-  Arbiter delta(config);
-  Arbiter batch(batch_config);
-  const std::string line = admit_line("web", profile, R"("m":100)");
-  const std::vector<std::string> a = drive(delta, line);
-  const std::vector<std::string> b = drive(batch, line);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(json::parse(a[0]).at("decision").as_string(), "renegotiated");
-
+  Arbiter arbiter(config);
+  std::vector<RefApp> fleet;
+  EXPECT_EQ(admit_and_compare(arbiter, config, fleet,
+                              admit_line("web", profile, R"("m":100)")),
+            "renegotiated");
   // A follow-up admission exercises the engine state left behind by the
   // renegotiated accept (registered under the weakened band only).
-  const std::string next = admit_line("tail", profile, R"("m":90,"tdegr":120)");
-  EXPECT_EQ(drive(delta, next), drive(batch, next));
+  admit_and_compare(arbiter, config, fleet,
+                    admit_line("tail", profile, R"("m":90,"tdegr":120)"));
+}
+
+// A verdict stream recorded through both admission paths while both
+// existed (tests/serve/admission_stream.golden, byte-identical between
+// them), replayed through a fresh arbiter: every reply byte must match.
+TEST(ArbiterAdmissionPath, RecordedStreamReplaysByteForByte) {
+  ServeConfig config = small_config();
+  config.admission.renegotiate_m = 90.0;
+  config.admission.renegotiate_tdegr = 120.0;
+  std::ifstream in(std::string(ROPUS_SERVE_FIXTURE_DIR) +
+                   "/admission_stream.golden");
+  ASSERT_TRUE(in) << "missing fixture";
+  auto arbiter = std::make_unique<Arbiter>(config);
+  std::vector<std::string> pending;  // replies not yet matched
+  std::size_t requests = 0;
+  std::size_t replies = 0;
+  std::string line;
+  const auto expect_drained = [&] {
+    EXPECT_TRUE(pending.empty()) << pending.size() << " extra replies";
+    pending.clear();
+  };
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (line.rfind("> ", 0) == 0) {
+      expect_drained();
+      const std::vector<std::string> got = drive(*arbiter, line.substr(2));
+      pending.assign(got.rbegin(), got.rend());
+      requests += 1;
+    } else if (line.rfind("< ", 0) == 0) {
+      ASSERT_FALSE(pending.empty()) << "missing reply: " << line;
+      EXPECT_EQ(pending.back(), line.substr(2));
+      pending.pop_back();
+      replies += 1;
+    } else if (line == "=restore") {
+      expect_drained();
+      json::Writer w;
+      arbiter->save_state(w);
+      arbiter = std::make_unique<Arbiter>(config);
+      arbiter->load_state(json::parse(w.str()));
+    } else if (line == "=summary") {
+      expect_drained();
+      pending = {arbiter->summary()};
+    } else {
+      FAIL() << "bad fixture line: " << line;
+    }
+  }
+  expect_drained();
+  EXPECT_GT(requests, 20u);
+  EXPECT_GT(replies, requests);
 }
 
 TEST(ArbiterState, SaveLoadReproducesVerdictBytes) {

@@ -1,9 +1,10 @@
 // The reversible delta-evaluation engine: randomized add/remove/move/probe
 // sequences cross-checked BIT FOR BIT against the batch oracle
-// (aggregate_workloads + required_capacity), plus a slot-by-slot reference
-// replay pinning the simulator's vectorized day path to the sequential
-// semantics. These are the equivalence guarantees the placement delta path
-// and serve admission rely on (docs/algorithms.md §11).
+// (aggregate_workloads + required_capacity), the grid-range boundary of
+// add() and probe(), plus a slot-by-slot reference replay pinning the dense
+// evaluate() to the sequential semantics. These are the equivalence
+// guarantees the placement delta path and serve admission rely on
+// (docs/algorithms.md §11).
 #include "sim/incremental.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +12,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/grid.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "qos/allocation.h"
+#include "qos/translation.h"
 #include "sim/simulator.h"
 #include "reference_replay.h"
 #include "workload/fleet.h"
@@ -74,7 +76,7 @@ TEST(IncrementalEvaluator, RandomizedMovesMatchBatchOracleBitForBit) {
   const std::vector<double> cpus = {6.0, 16.0, 16.0, 24.0, 40.0, 96.0};
   IncrementalEvaluator eng(f.calendar(), f.cos2, cpus);
   for (std::size_t id = 0; id < f.allocs.size(); ++id) {
-    eng.register_workload(id, f.allocs[id].cos1(), f.allocs[id].cos2());
+    eng.register_workload(id, f.allocs[id]);
   }
 
   std::vector<std::vector<std::size_t>> hosted(cpus.size());
@@ -107,7 +109,6 @@ TEST(IncrementalEvaluator, RandomizedMovesMatchBatchOracleBitForBit) {
   }
   const IncrementalEvaluator::Stats& st = eng.stats();
   EXPECT_GT(st.delta_verdicts + st.sum_rebuilds, 0u);
-  EXPECT_EQ(st.batch_fallbacks, 0u);  // real traces are on-grid
   EXPECT_GT(st.verdict_cache_hits, 0u);
 }
 
@@ -116,7 +117,7 @@ TEST(IncrementalEvaluator, ProbeMatchesOracleAndRestoresStateExactly) {
   const std::vector<double> cpus = {16.0, 24.0, 10.0};
   IncrementalEvaluator eng(f.calendar(), f.cos2, cpus);
   for (std::size_t id = 0; id < f.allocs.size(); ++id) {
-    eng.register_workload(id, f.allocs[id].cos1(), f.allocs[id].cos2());
+    eng.register_workload(id, f.allocs[id]);
   }
   // Host a baseline set; keep the rest as probe candidates.
   std::vector<std::vector<std::size_t>> hosted(cpus.size());
@@ -143,58 +144,41 @@ TEST(IncrementalEvaluator, ProbeMatchesOracleAndRestoresStateExactly) {
   }
 }
 
-TEST(IncrementalEvaluator, OffGridWorkloadsFallBackAndStillMatchBatch) {
-  const Calendar cal(1, 60);  // 1 week of hourly slots
-  const std::size_t n = cal.size();
-  // Off-grid by construction: thirds are not representable on any binary
-  // grid.
-  std::vector<std::vector<double>> c1(3), c2(3);
-  for (std::size_t w = 0; w < 3; ++w) {
-    c1[w].resize(n);
-    c2[w].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      c1[w][i] = (1.0 + static_cast<double>((i + w) % 5)) / 3.0;
-      c2[w][i] = (static_cast<double>((i * 7 + w) % 4)) / 3.0;
-    }
-  }
-  const qos::CosCommitment cos2{0.9, 120.0};
-  IncrementalEvaluator eng(cal, cos2, {8.0, 8.0});
-  for (std::size_t w = 0; w < 3; ++w) eng.register_workload(w, c1[w], c2[w]);
+TEST(IncrementalEvaluator, OversizedAddThrows) {
+  // A server's summed workload peaks bound every per-slot total; add() and
+  // probe() refuse to take them to the capacity model's limit, leaving the
+  // engine as it was.
+  const Calendar cal(1, 60);
+  qos::Requirement req;
+  req.u_low = 0.5;
+  req.u_high = 0.66;
+  req.u_degr = 0.9;
+  req.m_percent = 97.0;
+  const qos::CosCommitment cos2{0.95, 60.0};
+  const trace::DemandTrace small("small", cal,
+                                 std::vector<double>(cal.size(), 1.0));
+  const trace::DemandTrace huge("huge", cal,
+                                std::vector<double>(cal.size(), 1e9));
+  const qos::AllocationTrace small_alloc(small,
+                                         qos::translate(small, req, cos2));
+  const qos::AllocationTrace huge_alloc(huge, qos::translate(huge, req, cos2));
+  ASSERT_GE(huge_alloc.peak_allocation(), kGridTotalLimit);
+
+  IncrementalEvaluator eng(cal, cos2, {16.0});
+  eng.register_workload(0, small_alloc);
+  eng.register_workload(1, huge_alloc);
   eng.add(0, 0);
-  eng.add(2, 0);
-  eng.add(1, 0);
+  const RequiredCapacity before = eng.verdict(0);
+  EXPECT_THROW(eng.add(1, 0), InvalidArgument);
+  EXPECT_THROW((void)eng.probe(0, 1), InvalidArgument);
+  EXPECT_EQ(eng.host_of(1), IncrementalEvaluator::npos);
+  const std::span<const std::size_t> hosted = eng.hosted(0);
+  ASSERT_EQ(hosted.size(), 1u);
+  EXPECT_EQ(hosted[0], 0u);
+  expect_bitwise_equal(eng.verdict(0), before, "verdict after refusal");
 
-  // The oracle, by hand: ascending-id aggregation of the raw series.
-  Aggregate agg;
-  agg.calendar = cal;
-  agg.cos1.assign(n, 0.0);
-  agg.cos2.assign(n, 0.0);
-  for (const std::size_t w : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
-    for (std::size_t i = 0; i < n; ++i) {
-      agg.cos1[i] += c1[w][i];
-      agg.cos2[i] += c2[w][i];
-    }
-    double peak = 0.0;
-    for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, c1[w][i]);
-    agg.sum_peak_cos1 += peak;
-    agg.workloads += 1;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-  }
-
-  expect_bitwise_equal(eng.verdict(0), required_capacity(agg, 8.0, cos2),
-                       "off-grid verdict");
-  EXPECT_GT(eng.stats().batch_fallbacks, 0u);
-  EXPECT_EQ(eng.stats().delta_verdicts, 0u);
-
-  // Removing the off-grid workloads re-arms the delta path (sums rebuilt).
-  eng.remove(1);
-  eng.remove(2);
-  eng.remove(0);
-  eng.add(0, 1);  // still off-grid: server 1 falls back too
-  (void)eng.verdict(1);
-  EXPECT_GE(eng.stats().batch_fallbacks, 2u);
+  // Capacities must be grid values, as required_capacity requires.
+  EXPECT_THROW(IncrementalEvaluator(cal, cos2, {16.3}), InvalidArgument);
 }
 
 TEST(IncrementalEvaluator, WarmSeedNeverChangesTheSearchResult) {
@@ -214,39 +198,39 @@ TEST(IncrementalEvaluator, WarmSeedNeverChangesTheSearchResult) {
 }
 
 // ---------------------------------------------------------------------------
-// The vectorized day path against a literal transcription of the sequential
-// replay semantics.
+// The dense replay against a literal transcription of the sequential replay
+// semantics.
 
-TEST(Evaluate, DayChunkedPathMatchesSequentialReplayBitForBit) {
+TEST(Evaluate, MatchesReferenceReplayBitForBit) {
   const Fixture f;
   std::vector<const qos::AllocationTrace*> ptrs;
   for (std::size_t id = 0; id < 12; ++id) ptrs.push_back(&f.allocs[id]);
   const Aggregate agg = aggregate_workloads(ptrs, f.calendar());
   // Sweep capacities across the whole interesting range: CoS1 violations at
   // the bottom, multi-day deferral carry-over in the middle (backlog alive
-  // across day boundaries), untroubled vector days at the top.
+  // across day boundaries), untroubled days at the top.
   Rng rng(0x5EED);
   std::vector<double> capacities = {0.0,
-                                    agg.peak_cos1 * 0.5,
-                                    agg.peak_cos1,
-                                    agg.peak_cos1 + 0.03125,
-                                    agg.peak_total * 0.75,
-                                    agg.peak_total,
-                                    agg.peak_total * 1.5};
+                                    agg.peak_cos1() * 0.5,
+                                    agg.peak_cos1(),
+                                    agg.peak_cos1() + 0.03125,
+                                    agg.peak_total() * 0.75,
+                                    agg.peak_total(),
+                                    agg.peak_total() * 1.5};
   for (std::size_t k = 0; k < 40; ++k) {
-    capacities.push_back(agg.peak_cos1 +
-                         (agg.peak_total * 1.2 - agg.peak_cos1) *
+    capacities.push_back(agg.peak_cos1() +
+                         (agg.peak_total() * 1.2 - agg.peak_cos1()) *
                              rng.uniform());
   }
   bool saw_deferral = false;
   bool saw_violation = false;
   for (const double c : capacities) {
-    const Evaluation fast = evaluate(agg, c, f.cos2);
+    const Evaluation dense = evaluate(agg, c, f.cos2);
     const Evaluation ref = reference_evaluate(agg, c, f.cos2);
-    ASSERT_EQ(fast.cos1_satisfied, ref.cos1_satisfied) << c;
-    ASSERT_EQ(fast.theta, ref.theta) << c;
-    ASSERT_EQ(fast.deadline_met, ref.deadline_met) << c;
-    ASSERT_EQ(fast.max_backlog, ref.max_backlog) << c;
+    ASSERT_EQ(dense.cos1_satisfied, ref.cos1_satisfied) << c;
+    ASSERT_EQ(dense.theta, ref.theta) << c;
+    ASSERT_EQ(dense.deadline_met, ref.deadline_met) << c;
+    ASSERT_EQ(dense.max_backlog, ref.max_backlog) << c;
     saw_deferral = saw_deferral || ref.max_backlog > 0.0;
     saw_violation = saw_violation || !ref.cos1_satisfied;
   }

@@ -14,21 +14,15 @@ using trace::Calendar;
 
 Aggregate random_aggregate(std::uint64_t seed, const Calendar& cal) {
   Rng rng(seed);
-  Aggregate agg;
-  agg.calendar = cal;
-  agg.cos1.resize(cal.size());
-  agg.cos2.resize(cal.size());
-  agg.workloads = 1;
+  std::vector<double> cos1(cal.size());
+  std::vector<double> cos2(cal.size());
   // Piecewise-bursty series: baseline plus occasional spikes.
   for (std::size_t i = 0; i < cal.size(); ++i) {
-    agg.cos1[i] = rng.uniform(0.0, 2.0);
-    agg.cos2[i] = rng.uniform(0.0, 4.0);
-    if (rng.bernoulli(0.05)) agg.cos2[i] += rng.uniform(0.0, 12.0);
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-    agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
+    cos1[i] = rng.uniform(0.0, 2.0);
+    cos2[i] = rng.uniform(0.0, 4.0);
+    if (rng.bernoulli(0.05)) cos2[i] += rng.uniform(0.0, 12.0);
   }
-  agg.sum_peak_cos1 = agg.peak_cos1;
-  return agg;
+  return Aggregate::from_series(cal, cos1, cos2);
 }
 
 class SimulatorProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -37,14 +31,14 @@ TEST_P(SimulatorProperty, ThetaMonotoneInCapacity) {
   const Aggregate agg = random_aggregate(GetParam(), Calendar(1, 60));
   const qos::CosCommitment cos2{0.5, 180.0};
   double prev_theta = -1.0;
-  for (double cap = agg.peak_cos1; cap <= agg.peak_total + 1.0; cap += 0.5) {
+  for (double cap = agg.peak_cos1(); cap <= agg.peak_total() + 1.0; cap += 0.5) {
     const Evaluation ev = evaluate(agg, cap, cos2);
     ASSERT_TRUE(ev.cos1_satisfied);
     EXPECT_GE(ev.theta + 1e-12, prev_theta) << "cap " << cap;
     prev_theta = ev.theta;
   }
   // At full peak capacity everything is satisfied immediately.
-  const Evaluation full = evaluate(agg, agg.peak_total, cos2);
+  const Evaluation full = evaluate(agg, agg.peak_total(), cos2);
   EXPECT_DOUBLE_EQ(full.theta, 1.0);
   EXPECT_TRUE(full.deadline_met);
   EXPECT_DOUBLE_EQ(full.max_backlog, 0.0);
@@ -53,8 +47,8 @@ TEST_P(SimulatorProperty, ThetaMonotoneInCapacity) {
 TEST_P(SimulatorProperty, ThetaAlwaysInUnitInterval) {
   const Aggregate agg = random_aggregate(GetParam(), Calendar(1, 60));
   const qos::CosCommitment cos2{0.5, 60.0};
-  for (double cap : {agg.peak_cos1, agg.peak_cos1 + 1.0,
-                     0.5 * agg.peak_total, agg.peak_total}) {
+  for (double cap : {agg.peak_cos1(), agg.peak_cos1() + 1.0,
+                     0.5 * agg.peak_total(), agg.peak_total()}) {
     const Evaluation ev = evaluate(agg, cap, cos2);
     if (!ev.cos1_satisfied) continue;
     EXPECT_GE(ev.theta, 0.0);
@@ -66,11 +60,11 @@ TEST_P(SimulatorProperty, ThetaAlwaysInUnitInterval) {
 TEST_P(SimulatorProperty, RequiredCapacityIsMinimalAndSatisfying) {
   const Aggregate agg = random_aggregate(GetParam(), Calendar(1, 60));
   const qos::CosCommitment cos2{0.8, 120.0};
-  const double limit = agg.peak_total + 1.0;
+  const double limit = agg.peak_total() + 1.0;
   const RequiredCapacity rc = required_capacity(agg, limit, cos2, 0.01);
   ASSERT_TRUE(rc.fits);  // the limit exceeds the peak, so it must fit
   EXPECT_TRUE(evaluate(agg, rc.capacity, cos2).satisfies(cos2));
-  if (rc.capacity > agg.peak_cos1 + 0.05) {
+  if (rc.capacity > agg.peak_cos1() + 0.05) {
     EXPECT_FALSE(evaluate(agg, rc.capacity - 0.05, cos2).satisfies(cos2))
         << "required capacity was not minimal";
   }
@@ -79,7 +73,7 @@ TEST_P(SimulatorProperty, RequiredCapacityIsMinimalAndSatisfying) {
 
 TEST_P(SimulatorProperty, RequiredCapacityMonotoneInTheta) {
   const Aggregate agg = random_aggregate(GetParam(), Calendar(1, 60));
-  const double limit = agg.peak_total + 1.0;
+  const double limit = agg.peak_total() + 1.0;
   double prev = 0.0;
   for (double theta : {0.3, 0.5, 0.7, 0.9, 0.99}) {
     const RequiredCapacity rc =
@@ -92,7 +86,7 @@ TEST_P(SimulatorProperty, RequiredCapacityMonotoneInTheta) {
 
 TEST_P(SimulatorProperty, RequiredCapacityMonotoneInDeadline) {
   const Aggregate agg = random_aggregate(GetParam(), Calendar(1, 60));
-  const double limit = agg.peak_total + 1.0;
+  const double limit = agg.peak_total() + 1.0;
   double prev = limit;
   for (double deadline : {0.0, 60.0, 240.0, 720.0}) {
     const RequiredCapacity rc = required_capacity(

@@ -1,5 +1,5 @@
 // The simulator's replay semantics transcribed literally, slot by slot:
-// the oracle the vectorized day path (incremental_test.cpp) and the sparse
+// the oracle the dense evaluate() (incremental_test.cpp) and the sparse
 // capacity probe (sparse_probe_test.cpp) are pinned to bit for bit.
 #pragma once
 
@@ -15,14 +15,14 @@ inline Evaluation reference_evaluate(const Aggregate& agg, double capacity,
                                      const qos::CosCommitment& cos2) {
   Evaluation ev;
   if (agg.empty()) return ev;
-  const trace::Calendar& cal = agg.calendar;
+  const trace::Calendar& cal = agg.calendar();
   const std::size_t deadline_slots =
       cal.observations_in(cos2.deadline_minutes);
   slo::ThetaAccumulator theta(cal.weeks(), cal.slots_per_day());
   slo::DeferralQueue backlog(deadline_slots);
   for (std::size_t i = 0; i < cal.size(); ++i) {
-    const double s1 = agg.cos1[i];
-    const double s2 = agg.cos2[i];
+    const double s1 = agg.cos1()[i];
+    const double s2 = agg.cos2()[i];
     if (s1 > capacity + slo::kCapacityEps) {
       ev.cos1_satisfied = false;
       ev.theta = 0.0;

@@ -1,8 +1,11 @@
 // The required-capacity binary search of Section VI-A.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "qos/allocation.h"
 #include "sim/simulator.h"
 #include "workload/fleet.h"
@@ -14,25 +17,15 @@ using trace::Calendar;
 
 Calendar tiny() { return Calendar(1, 720); }
 
+/// One workload's series, zero-padded to the calendar, through the factory.
 Aggregate make_aggregate(std::vector<double> cos1, std::vector<double> cos2) {
-  Aggregate agg;
-  agg.calendar = tiny();
-  cos1.resize(agg.calendar.size(), 0.0);
-  cos2.resize(agg.calendar.size(), 0.0);
-  agg.cos1 = std::move(cos1);
-  agg.cos2 = std::move(cos2);
-  agg.workloads = 1;
-  for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-    agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
-  }
-  agg.sum_peak_cos1 = agg.peak_cos1;
-  return agg;
+  cos1.resize(tiny().size(), 0.0);
+  cos2.resize(tiny().size(), 0.0);
+  return Aggregate::from_series(tiny(), cos1, cos2);
 }
 
 TEST(RequiredCapacity, EmptyAggregateNeedsNothing) {
-  Aggregate agg;
-  agg.calendar = tiny();
+  const Aggregate agg = aggregate_workloads({}, tiny());
   const RequiredCapacity rc =
       required_capacity(agg, 16.0, qos::CosCommitment{0.9, 720.0});
   EXPECT_TRUE(rc.fits);
@@ -40,11 +33,31 @@ TEST(RequiredCapacity, EmptyAggregateNeedsNothing) {
 }
 
 TEST(RequiredCapacity, PrecheckRejectsCos1PeakSumOverLimit) {
-  Aggregate agg = make_aggregate(std::vector<double>(14, 1.0), {});
-  agg.sum_peak_cos1 = 20.0;  // e.g. many workloads with coincident peaks
-  const RequiredCapacity rc =
-      required_capacity(agg, 16.0, qos::CosCommitment{0.9, 720.0});
-  EXPECT_FALSE(rc.fits);
+  // Six workloads whose CoS1 peaks never coincide: the aggregate fits a
+  // capacity below the sum of their peaks, which the precheck still refuses.
+  qos::Requirement req;
+  req.u_low = 0.5;
+  req.u_high = 0.66;
+  req.u_degr = 0.9;
+  req.m_percent = 97.0;
+  const qos::CosCommitment cos2{0.6, 720.0};
+  std::vector<trace::DemandTrace> demands;
+  for (std::size_t k = 0; k < 6; ++k) {
+    std::vector<double> d(tiny().size(), 1.0);
+    d[2 * k] = 5.0;
+    std::string name = "w";
+    name += std::to_string(k);
+    demands.emplace_back(name, tiny(), d);
+  }
+  const std::vector<qos::AllocationTrace> allocs =
+      qos::build_allocations(demands, req, cos2);
+  std::vector<const qos::AllocationTrace*> ptrs;
+  for (const auto& a : allocs) ptrs.push_back(&a);
+  const Aggregate agg = aggregate_workloads(ptrs, tiny());
+  const double limit = std::ceil(agg.peak_total());
+  ASSERT_LT(limit, agg.sum_peak_cos1());
+  ASSERT_TRUE(evaluate(agg, limit, cos2).satisfies(cos2));
+  EXPECT_FALSE(required_capacity(agg, limit, cos2).fits);
 }
 
 TEST(RequiredCapacity, GuaranteedOnlyWorkloadNeedsItsAggregatePeak) {
@@ -122,7 +135,7 @@ TEST(RequiredCapacity, ResultSatisfiesCommitmentOnReEvaluation) {
   ASSERT_TRUE(rc.fits);
   EXPECT_TRUE(evaluate(agg, rc.capacity, cos2).satisfies(cos2));
   // Minimality: a meaningfully smaller capacity must fail.
-  if (rc.capacity > agg.peak_cos1 + 0.1) {
+  if (rc.capacity > agg.peak_cos1() + 0.1) {
     EXPECT_FALSE(evaluate(agg, rc.capacity - 0.1, cos2).satisfies(cos2));
   }
   // Sharing: the required capacity is below the sum of peak allocations.
@@ -148,6 +161,17 @@ TEST(RequiredCapacity, ToleranceControlsPrecision) {
   ASSERT_TRUE(fine.fits);
   EXPECT_GE(coarse.capacity + 1e-12, fine.capacity);
   EXPECT_LE(coarse.capacity - fine.capacity, 1.0 + 1e-9);
+}
+
+TEST(RequiredCapacity, RejectsOffGridLimitAndSubGridTolerance) {
+  // Every search candidate must be a grid value: an integer or any other
+  // multiple of 2^-20 is accepted as the limit, 16.3 is not.
+  const Aggregate agg = make_aggregate({}, std::vector<double>(14, 2.0));
+  const qos::CosCommitment c{0.8, 10080.0};
+  EXPECT_THROW(required_capacity(agg, 16.3, c), InvalidArgument);
+  EXPECT_TRUE(required_capacity(agg, 16.25, c).fits);
+  EXPECT_THROW(required_capacity(agg, 16.0, c, 0x1p-21), InvalidArgument);
+  EXPECT_TRUE(required_capacity(agg, 16.0, c, 0x1p-20).fits);
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
+#include "common/grid.h"
+#include "qos/allocation.h"
+#include "qos/translation.h"
 
 namespace ropus::sim {
 namespace {
@@ -17,20 +21,11 @@ using trace::Calendar;
 // 1 week, 2 slots/day -> 14 observations; groups are (slot 0) and (slot 1).
 Calendar tiny() { return Calendar(1, 720); }
 
+/// One workload's series, zero-padded to the calendar, through the factory.
 Aggregate make_aggregate(std::vector<double> cos1, std::vector<double> cos2) {
-  Aggregate agg;
-  agg.calendar = tiny();
-  cos1.resize(agg.calendar.size(), 0.0);
-  cos2.resize(agg.calendar.size(), 0.0);
-  agg.cos1 = std::move(cos1);
-  agg.cos2 = std::move(cos2);
-  agg.workloads = 1;
-  for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-    agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
-  }
-  agg.sum_peak_cos1 = agg.peak_cos1;
-  return agg;
+  cos1.resize(tiny().size(), 0.0);
+  cos2.resize(tiny().size(), 0.0);
+  return Aggregate::from_series(tiny(), cos1, cos2);
 }
 
 qos::CosCommitment commitment(double theta = 0.5,
@@ -39,8 +34,7 @@ qos::CosCommitment commitment(double theta = 0.5,
 }
 
 TEST(Evaluate, EmptyAggregateIsTriviallySatisfied) {
-  Aggregate agg;
-  agg.calendar = tiny();
+  const Aggregate agg = aggregate_workloads({}, tiny());
   const Evaluation ev = evaluate(agg, 1.0, commitment());
   EXPECT_TRUE(ev.cos1_satisfied);
   EXPECT_DOUBLE_EQ(ev.theta, 1.0);
@@ -165,6 +159,63 @@ TEST(AggregateWorkloads, RejectsMismatchedCalendars) {
   const qos::AllocationTrace bt(b, qos::translate(b, req, cos2));
   const std::vector<const qos::AllocationTrace*> ws{&at, &bt};
   EXPECT_THROW(aggregate_workloads(ws, tiny()), InvalidArgument);
+}
+
+// The grid invariant is set where an Aggregate is built.
+
+TEST(AggregateFactory, SnapsOffGridValues) {
+  std::vector<double> cos1(tiny().size(), 1.0 / 3.0);
+  std::vector<double> cos2(tiny().size(), 0.1);
+  const Aggregate agg = Aggregate::from_series(tiny(), cos1, cos2);
+  for (std::size_t i = 0; i < tiny().size(); ++i) {
+    EXPECT_EQ(agg.cos1()[i], grid::snap(1.0 / 3.0));
+    EXPECT_EQ(agg.cos2()[i], grid::snap(0.1));
+    EXPECT_TRUE(grid::on_grid(agg.cos1()[i]));
+    EXPECT_TRUE(grid::on_grid(agg.cos2()[i]));
+  }
+  EXPECT_EQ(agg.workloads(), 1u);
+  EXPECT_EQ(agg.peak_cos1(), grid::snap(1.0 / 3.0));
+  EXPECT_EQ(agg.sum_peak_cos1(), agg.peak_cos1());
+  EXPECT_EQ(agg.peak_total(), grid::snap(1.0 / 3.0) + grid::snap(0.1));
+}
+
+TEST(AggregateFactory, RejectsNegativeAndNonFiniteValues) {
+  const std::vector<double> ok(tiny().size(), 1.0);
+  for (const double bad : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> v = ok;
+    v[3] = bad;
+    EXPECT_THROW(Aggregate::from_series(tiny(), v, ok), InvalidArgument)
+        << bad;
+    EXPECT_THROW(Aggregate::from_series(tiny(), ok, v), InvalidArgument)
+        << bad;
+  }
+  EXPECT_THROW(Aggregate::from_series(tiny(), std::vector<double>(3, 1.0), ok),
+               InvalidArgument);
+}
+
+TEST(AggregateFactory, OversizedAggregateThrows) {
+  // A per-slot total at the limit is refused by the factory...
+  std::vector<double> cos1(tiny().size(), 1.0);
+  std::vector<double> cos2(tiny().size(), 1.0);
+  cos1[5] = kGridTotalLimit - 1.0;
+  EXPECT_THROW(Aggregate::from_series(tiny(), cos1, cos2), InvalidArgument);
+  cos2[5] = 0.5;
+  EXPECT_NO_THROW(Aggregate::from_series(tiny(), cos1, cos2));
+
+  // ...and by aggregate_workloads over allocation traces.
+  qos::Requirement req;
+  req.u_low = 0.5;
+  req.u_high = 0.66;
+  req.u_degr = 0.9;
+  req.m_percent = 97.0;
+  const qos::CosCommitment cos2c{0.95, 60.0};
+  const trace::DemandTrace huge("huge", tiny(),
+                                std::vector<double>(tiny().size(), 1e9));
+  const qos::AllocationTrace alloc(huge, qos::translate(huge, req, cos2c));
+  ASSERT_GE(alloc.peak_allocation(), kGridTotalLimit);
+  const qos::AllocationTrace* const ptr = &alloc;
+  EXPECT_THROW(aggregate_workloads({&ptr, 1}, tiny()), InvalidArgument);
 }
 
 }  // namespace

@@ -5,8 +5,7 @@
 // satisfying probe's Evaluation is bit-equal to it, and required_capacity —
 // cold and warm-started — lands on the brute-force grid-scan minimum.
 // Hand-built aggregates pin the boundaries the block skip and the early
-// exits must get exactly right, and off-grid input must route to the dense
-// replay (docs/algorithms.md §5).
+// exits must get exactly right (docs/algorithms.md §5).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,7 +19,6 @@
 #include "qos/allocation.h"
 #include "qos/translation.h"
 #include "reference_replay.h"
-#include "sim/incremental.h"
 #include "sim/simulator.h"
 #include "workload/fleet.h"
 
@@ -30,27 +28,6 @@ namespace {
 using trace::Calendar;
 
 constexpr double kTolerance = 0.05;
-
-/// An aggregate of one hand-built workload. Values are snapped to the grid
-/// here, so the builder may set the on-grid flag that aggregate_workloads
-/// would derive.
-Aggregate make_aggregate(const Calendar& cal, std::vector<double> cos1,
-                         std::vector<double> cos2) {
-  Aggregate agg;
-  agg.calendar = cal;
-  for (std::size_t i = 0; i < cal.size(); ++i) {
-    cos1[i] = grid::snap(cos1[i]);
-    cos2[i] = grid::snap(cos2[i]);
-    agg.peak_cos1 = std::max(agg.peak_cos1, cos1[i]);
-    agg.peak_total = std::max(agg.peak_total, cos1[i] + cos2[i]);
-  }
-  agg.cos1 = std::move(cos1);
-  agg.cos2 = std::move(cos2);
-  agg.sum_peak_cos1 = agg.peak_cos1;
-  agg.workloads = 1;
-  agg.on_grid = true;
-  return agg;
-}
 
 /// A diurnal base load with random multi-slot CoS2 bursts, so deficits
 /// cluster, carry a backlog over block and day boundaries, and leave most
@@ -78,7 +55,7 @@ Aggregate random_aggregate(Rng& rng, std::size_t weeks) {
       cos2[i] += height;
     }
   }
-  return make_aggregate(cal, std::move(cos1), std::move(cos2));
+  return Aggregate::from_series(cal, cos1, cos2);
 }
 
 void expect_bit_equal(const Evaluation& got, const Evaluation& want,
@@ -94,9 +71,9 @@ void expect_bit_equal(const Evaluation& got, const Evaluation& want,
 RequiredCapacity grid_scan(const Aggregate& agg, double limit,
                            const qos::CosCommitment& cos2) {
   RequiredCapacity out;
-  if (agg.sum_peak_cos1 > limit + slo::kCapacityEps) return out;
+  if (agg.sum_peak_cos1() > limit + slo::kCapacityEps) return out;
   const double step = capacity_grid_step(kTolerance);
-  const auto k_lo = static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
+  const auto k_lo = static_cast<std::int64_t>(std::ceil(agg.peak_cos1() / step));
   const auto k_hi = static_cast<std::int64_t>(std::floor(limit / step));
   for (std::int64_t k = k_lo; k <= k_hi; ++k) {
     const double c = static_cast<double>(k) * step;
@@ -116,7 +93,7 @@ void expect_search_matches(const Aggregate& agg, double limit,
   const double step = capacity_grid_step(kTolerance);
   const double answer = want.fits ? want.capacity : limit;
   for (const double warm :
-       {-1.0, 0.0, agg.peak_cos1, answer - 5 * step, answer - step, answer,
+       {-1.0, 0.0, agg.peak_cos1(), answer - 5 * step, answer - step, answer,
         answer + step, answer + 5 * step, limit, 1e9}) {
     const RequiredCapacity got =
         required_capacity(agg, limit, cos2, kTolerance, warm);
@@ -137,14 +114,13 @@ struct Tally {
 Tally expect_candidates_match(const Aggregate& agg, double limit,
                               const qos::CosCommitment& cos2) {
   const double step = capacity_grid_step(kTolerance);
-  const auto k_lo = static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
+  const auto k_lo = static_cast<std::int64_t>(std::ceil(agg.peak_cos1() / step));
   const auto k_hi = static_cast<std::int64_t>(std::floor(limit / step));
   CapacityProbe probe(agg, cos2);
   bool prev = false;
   Tally tally;
   for (std::int64_t k = k_lo; k <= k_hi; ++k) {
     const double c = static_cast<double>(k) * step;
-    EXPECT_EQ(probe.sparse_at(c), agg.on_grid) << c;
     const Evaluation want = reference_evaluate(agg, c, cos2);
     const bool dense_ok = want.satisfies(cos2);
     if (prev) {
@@ -172,7 +148,7 @@ TEST(SparseProbe, MatchesDenseOracleOnRandomAggregates) {
       const Aggregate agg = random_aggregate(rng, weeks);
       const qos::CosCommitment& cos2 =
           commitments[rng.uniform_index(std::size(commitments))];
-      const double limit = grid::snap(agg.peak_total * 1.1);
+      const double limit = grid::snap(agg.peak_total() * 1.1);
       const Tally t = expect_candidates_match(agg, limit, cos2);
       total.candidates += t.candidates;
       total.satisfied += t.satisfied;
@@ -194,11 +170,11 @@ TEST(SparseProbe, ReadsFewerSlotsThanTheDenseReplay) {
   const std::uint64_t slots_before = slots.value();
   const std::uint64_t calls_before = calls.value();
   const RequiredCapacity rc =
-      required_capacity(agg, grid::snap(agg.peak_total * 1.1), cos2);
+      required_capacity(agg, grid::snap(agg.peak_total() * 1.1), cos2);
   ASSERT_TRUE(rc.fits);
   const std::uint64_t probes = calls.value() - calls_before;
   EXPECT_GT(probes, 2u);
-  EXPECT_LT(slots.value() - slots_before, probes * agg.cos1.size() / 2);
+  EXPECT_LT(slots.value() - slots_before, probes * agg.cos1().size() / 2);
 }
 
 TEST(SparseProbe, BacklogCarriedAcrossBlockDayAndWeekBoundaries) {
@@ -213,7 +189,7 @@ TEST(SparseProbe, BacklogCarriedAcrossBlockDayAndWeekBoundaries) {
        {std::size_t{1000}, std::size_t{2015}, std::size_t{2303}}) {
     cos2[at] = 2.5;
   }
-  const Aggregate agg = make_aggregate(cal, cos1, cos2);
+  const Aggregate agg = Aggregate::from_series(cal, cos1, cos2);
   // 60 minutes (12 slots) drains in time; 10 minutes (2 slots) cannot at C
   // = 2, so the first overdue deferral decides those candidates.
   for (const qos::CosCommitment cos2c :
@@ -242,7 +218,7 @@ TEST(SparseProbe, DeferralDeadlineLandingExactlyAtTraceEnd) {
     std::vector<double> cos1(n, 1.0);
     std::vector<double> cos2v(n, 1.0);
     cos2v[at] = 2.0;
-    const Aggregate agg = make_aggregate(cal, cos1, cos2v);
+    const Aggregate agg = Aggregate::from_series(cal, cos1, cos2v);
     const Evaluation want = reference_evaluate(agg, 2.0, cos2);
     EXPECT_EQ(want.deadline_met, at == n - 12) << at;
     Evaluation got;
@@ -259,7 +235,7 @@ TEST(SparseProbe, CosOnePeakExactlyAtCapacity) {
   std::vector<double> cos2(cal.size(), 1.0);
   cos1[777] = 3.0;  // the peak, alone in its slot
   cos2[777] = 0.0;
-  const Aggregate agg = make_aggregate(cal, cos1, cos2);
+  const Aggregate agg = Aggregate::from_series(cal, cos1, cos2);
   const qos::CosCommitment cos2c{0.9, 30.0};
   CapacityProbe probe(agg, cos2c);
   Evaluation got;
@@ -283,7 +259,7 @@ TEST(SparseProbe, ThetaExactlyAtTarget) {
   std::vector<double> cos1(cal.size(), 1.0);
   std::vector<double> cos2(cal.size(), 0.75);
   cos2[100] = 2.5;
-  const Aggregate agg = make_aggregate(cal, cos1, cos2);
+  const Aggregate agg = Aggregate::from_series(cal, cos1, cos2);
   const qos::CosCommitment cos2c{0.75, 10080.0};
   const Evaluation want = reference_evaluate(agg, 1.75, cos2c);
   ASSERT_EQ(want.theta, 0.75);
@@ -301,45 +277,6 @@ TEST(SparseProbe, ThetaExactlyAtTarget) {
   expect_search_matches(agg, 4.0, cos2c);
 }
 
-TEST(SparseProbe, OffGridAggregateRoutesToDenseAndAgrees) {
-  Rng rng(0x0FF6);
-  Aggregate agg = random_aggregate(rng, 1);
-  for (double& v : agg.cos2) v += 1e-7;  // off the 2^-20 grid
-  agg.on_grid = false;
-  const qos::CosCommitment cos2{0.95, 60.0};
-  const double limit = grid::snap(agg.peak_total * 1.1);
-  CapacityProbe probe(agg, cos2);
-  EXPECT_FALSE(probe.sparse_at(2.0));
-  expect_candidates_match(agg, limit, cos2);
-  expect_search_matches(agg, limit, cos2);
-}
-
-TEST(SparseProbe, OffGridLimitRoutesToDenseAndAgrees) {
-  // The smallest satisfying capacity, 3.01 CPUs snapped, is on the 2^-20
-  // grid but between two search candidates; only the off-grid limit 3.02
-  // (not a multiple of 2^-20) can satisfy, and it takes the dense replay.
-  const Calendar cal = Calendar::standard(1);
-  const qos::CosCommitment cos2{1.0, 0.0};
-  const double limit = 3.02;
-  ASSERT_FALSE(grid::on_grid(limit));
-  for (const bool spike_on_cos1 : {true, false}) {
-    std::vector<double> cos1(cal.size(), 1.0);
-    std::vector<double> cos2v(cal.size(), 0.0);
-    if (spike_on_cos1) {
-      cos1[500] = 3.01;  // no grid candidate in [peak, limit]
-    } else {
-      cos2v[500] = 2.01;  // candidates exist, all fail
-    }
-    const Aggregate agg = make_aggregate(cal, cos1, cos2v);
-    EXPECT_FALSE(CapacityProbe(agg, cos2).sparse_at(limit));
-    const RequiredCapacity rc = required_capacity(agg, limit, cos2);
-    ASSERT_TRUE(rc.fits) << spike_on_cos1;
-    EXPECT_EQ(rc.capacity, limit);
-    expect_candidates_match(agg, limit, cos2);
-    expect_search_matches(agg, limit, cos2);
-  }
-}
-
 TEST(SparseProbe, FleetAggregatesAreOnGridAndMatchDense) {
   qos::Requirement req;
   req.u_low = 0.5;
@@ -354,52 +291,10 @@ TEST(SparseProbe, FleetAggregatesAreOnGridAndMatchDense) {
     std::vector<const qos::AllocationTrace*> ptrs;
     for (std::size_t i = first; i < first + 3; ++i) ptrs.push_back(&allocs[i]);
     const Aggregate agg = aggregate_workloads(ptrs, demands[0].calendar());
-    ASSERT_TRUE(agg.on_grid);
     expect_candidates_match(agg, 16.0, cos2);
     expect_search_matches(agg, 16.0, cos2);
     if (HasFailure()) return;
   }
-}
-
-TEST(SparseProbe, HugeAggregatesAreNotOnGrid) {
-  const Calendar cal = Calendar::standard(1);
-  qos::Requirement req;
-  req.u_low = 0.5;
-  req.u_high = 0.66;
-  req.u_degr = 0.9;
-  req.m_percent = 97.0;
-  const qos::CosCommitment cos2{0.95, 60.0};
-  const trace::DemandTrace huge("huge", cal,
-                                std::vector<double>(cal.size(), 1e9));
-  const qos::AllocationTrace alloc(huge, qos::translate(huge, req, cos2));
-  const qos::AllocationTrace* const ptr = &alloc;
-  const Aggregate agg = aggregate_workloads({&ptr, 1}, cal);
-  EXPECT_GE(agg.peak_total, kGridTotalLimit);
-  EXPECT_FALSE(agg.on_grid);
-}
-
-TEST(SparseProbe, NegativeWorkloadTakesTheEngineFallback) {
-  // On the grid but negative: slot 10's s1 + s2 fits under a capacity its
-  // CoS1 alone exceeds, so the block skip would miss the overcommit; the
-  // engine must serve such a server without the sparse probe.
-  const Calendar cal = Calendar::standard(1);
-  std::vector<double> cos1(cal.size(), 2.0);
-  std::vector<double> cos2(cal.size(), 1.0);
-  cos1[10] = 4.0;
-  cos2[10] = -0.5;
-  const qos::CosCommitment cos2c{0.95, 60.0};
-  IncrementalEvaluator engine(cal, cos2c, {16.0});
-  engine.register_workload(0, cos1, cos2);
-  engine.add(0, 0);
-  const RequiredCapacity got = engine.verdict(0);
-  EXPECT_EQ(engine.stats().batch_fallbacks, 1u);
-
-  Aggregate agg = make_aggregate(cal, cos1, cos2);
-  agg.on_grid = false;
-  const RequiredCapacity want = grid_scan(agg, 16.0, cos2c);
-  ASSERT_EQ(got.fits, want.fits);
-  EXPECT_EQ(got.capacity, want.capacity);
-  expect_bit_equal(got.at_capacity, want.at_capacity, got.capacity);
 }
 
 }  // namespace

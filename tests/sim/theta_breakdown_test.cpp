@@ -13,20 +13,11 @@ using trace::Calendar;
 // 2 weeks, 2 slots/day -> 28 observations, 4 (week, slot) groups.
 Calendar two_weeks() { return Calendar(2, 720); }
 
+/// One workload's series, zero-padded to the calendar, through the factory.
 Aggregate make_aggregate(std::vector<double> cos1, std::vector<double> cos2) {
-  Aggregate agg;
-  agg.calendar = two_weeks();
-  cos1.resize(agg.calendar.size(), 0.0);
-  cos2.resize(agg.calendar.size(), 0.0);
-  agg.cos1 = std::move(cos1);
-  agg.cos2 = std::move(cos2);
-  agg.workloads = 1;
-  for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-    agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
-  }
-  agg.sum_peak_cos1 = agg.peak_cos1;
-  return agg;
+  cos1.resize(two_weeks().size(), 0.0);
+  cos2.resize(two_weeks().size(), 0.0);
+  return Aggregate::from_series(two_weeks(), cos1, cos2);
 }
 
 TEST(ThetaBreakdown, FindsTheWorstGroup) {
@@ -78,8 +69,7 @@ TEST(ThetaBreakdown, RejectsCos1Overflow) {
 }
 
 TEST(ThetaBreakdown, EmptyAggregateIsTrivial) {
-  Aggregate agg;
-  agg.calendar = two_weeks();
+  const Aggregate agg = aggregate_workloads({}, two_weeks());
   const ThetaBreakdown b = theta_breakdown(agg, 1.0);
   EXPECT_DOUBLE_EQ(b.theta, 1.0);
   EXPECT_TRUE(b.group_ratios.empty());

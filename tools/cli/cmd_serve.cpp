@@ -6,6 +6,7 @@
 
 #include "cli/cli_util.h"
 #include "cli/commands.h"
+#include "common/grid.h"
 #include "common/json.h"
 #include "serve/daemon.h"
 #include "serve/transport.h"
@@ -33,7 +34,7 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
       "socket",         "host",            "port",
       "max-connections", "read-timeout",   "write-timeout",
       "max-output-bytes", "http-port",     "drain-grace",
-      "slow-request-ms", "batch-admission"};
+      "slow-request-ms"};
   append_telemetry_flag_names(allowed);
   if (!check_flags(flags, allowed, err)) return 1;
 
@@ -67,13 +68,15 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
       config.minutes_per_sample);
   config.servers = flags.get_size("servers", 13);
   config.server_cpus = flags.get_double("cpus", 16.0);
+  if (!(config.server_cpus > 0.0) || !grid::on_grid(config.server_cpus)) {
+    // The capacity model searches the 2^-20 allocation grid, limit included.
+    err << "error: --cpus must be a positive multiple of 2^-20 CPU "
+           "(e.g. 16 or 15.5)\n";
+    return 1;
+  }
   config.history_window = flags.get_size("window", 3);
   config.degraded = degraded_from_flags(flags);
   config.max_slot_gap = flags.get_size("max-slot-gap", 288);
-  // Diagnostics escape hatch: route admissions through the stateless batch
-  // placement path instead of the persistent delta engine. Verdict bytes
-  // are identical; only the cost per admission changes.
-  config.delta_admission = !flags.get_bool("batch-admission", false);
 
   const std::string policy_name = flags.get_string("policy", "reactive");
   if (policy_name == "reactive") {
