@@ -1,14 +1,34 @@
 #include "placement/multi_problem.h"
 
 #include <algorithm>
-#include <cstring>
 #include <mutex>
 #include <numeric>
 
 #include "common/error.h"
-#include "placement/problem.h"
+#include "slo/kernel.h"
 
 namespace ropus::placement {
+
+namespace {
+std::vector<qos::AllocationTrace> cpu_traces_of(
+    std::span<const qos::WorkloadAllocations> workloads) {
+  std::vector<qos::AllocationTrace> out;
+  out.reserve(workloads.size());
+  for (const qos::WorkloadAllocations& w : workloads) out.push_back(w.cpu());
+  return out;
+}
+
+std::vector<sim::ServerSpec> cpu_pool_of(
+    const std::vector<sim::MultiServerSpec>& servers) {
+  std::vector<sim::ServerSpec> out;
+  out.reserve(servers.size());
+  for (const sim::MultiServerSpec& s : servers) {
+    s.validate();
+    out.push_back(sim::ServerSpec{s.name, s.cpus});
+  }
+  return out;
+}
+}  // namespace
 
 MultiPlacementProblem::MultiPlacementProblem(
     std::span<const qos::WorkloadAllocations> workloads,
@@ -16,140 +36,128 @@ MultiPlacementProblem::MultiPlacementProblem(
     double capacity_tolerance)
     : workloads_(workloads),
       servers_(std::move(servers)),
-      cos2_(cos2),
-      tolerance_(capacity_tolerance),
-      calendar_(workloads.empty() ? trace::Calendar(1, 5)
-                                  : workloads.front().calendar()) {
-  ROPUS_REQUIRE(!workloads_.empty(), "placement needs at least one workload");
-  ROPUS_REQUIRE(!servers_.empty(), "placement needs at least one server");
-  ROPUS_REQUIRE(tolerance_ > 0.0, "capacity tolerance must be > 0");
-  cos2_.validate();
-  for (const sim::MultiServerSpec& s : servers_) s.validate();
-  for (const qos::WorkloadAllocations& w : workloads_) {
-    ROPUS_REQUIRE(w.calendar() == calendar_,
-                  "all workloads must share one calendar");
-  }
-}
+      cpu_traces_(cpu_traces_of(workloads)),
+      cpu_(cpu_traces_, cpu_pool_of(servers_), cos2, capacity_tolerance) {}
 
-std::size_t MultiPlacementProblem::CacheKeyHash::operator()(
-    const CacheKey& k) const {
+std::size_t MultiPlacementProblem::IdsHash::operator()(
+    const std::vector<std::size_t>& ids) const {
   std::size_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t id : k.workload_ids) {
+  for (std::size_t id : ids) {
     h ^= id + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  for (double c : k.capacities) {
-    std::size_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(c));
-    std::memcpy(&bits, &c, sizeof(bits));
-    h ^= bits + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return h;
 }
 
-sim::MultiRequiredCapacity MultiPlacementProblem::server_required_capacity(
-    std::vector<std::size_t> workload_ids,
-    const sim::MultiServerSpec& server) const {
-  std::sort(workload_ids.begin(), workload_ids.end());
-  CacheKey key{std::move(workload_ids), {}};
-  for (trace::Attribute a : trace::kAllAttributes) {
-    key.capacities[trace::attribute_index(a)] = server.capacity(a);
-  }
+MultiPlacementProblem::AttributePeaks MultiPlacementProblem::attribute_peaks(
+    const std::vector<std::size_t>& ids) const {
   {
-    const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
+    const std::shared_lock<std::shared_mutex> lock(peaks_mutex_);
+    if (const auto it = peaks_.find(ids); it != peaks_.end()) {
       return it->second;
     }
   }
-  std::vector<const qos::WorkloadAllocations*> hosted;
-  hosted.reserve(key.workload_ids.size());
-  for (std::size_t id : key.workload_ids) {
-    ROPUS_REQUIRE(id < workloads_.size(), "unknown workload id");
-    hosted.push_back(&workloads_[id]);
+  // Non-CPU series are not on the allocation grid, so their sums depend on
+  // order: always ascending id order.
+  AttributePeaks peaks{};
+  std::vector<double> total;
+  for (trace::Attribute a : trace::kAllAttributes) {
+    if (a == trace::Attribute::kCpu) continue;
+    bool any = false;
+    for (std::size_t id : ids) {
+      const trace::DemandTrace* t = workloads_[id].attribute(a);
+      if (t == nullptr) continue;
+      if (!any) total.assign(t->size(), 0.0);
+      any = true;
+      for (std::size_t i = 0; i < total.size(); ++i) total[i] += (*t)[i];
+    }
+    if (any) {
+      peaks[trace::attribute_index(a)] =
+          *std::max_element(total.begin(), total.end());
+    }
   }
-  sim::MultiRequiredCapacity rc =
-      sim::multi_required_capacity(hosted, server, cos2_, tolerance_);
   // Duplicate concurrent computes resolve to the first insert; the values
   // are identical either way.
-  const std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-  cache_.emplace(std::move(key), rc);
-  return rc;
+  const std::unique_lock<std::shared_mutex> lock(peaks_mutex_);
+  peaks_.emplace(ids, peaks);
+  return peaks;
 }
 
-double MultiPlacementProblem::total_peak_allocation() const {
-  double total = 0.0;
-  for (const qos::WorkloadAllocations& w : workloads_) {
-    total += w.cpu().peak_allocation();
+bool MultiPlacementProblem::attributes_fit(
+    const AttributePeaks& peaks, const sim::MultiServerSpec& server) {
+  for (trace::Attribute a : trace::kAllAttributes) {
+    if (a == trace::Attribute::kCpu) continue;
+    if (peaks[trace::attribute_index(a)] >
+        server.capacity(a) + slo::kCapacityEps) {
+      return false;
+    }
   }
-  return total;
+  return true;
 }
 
 PlacementEvaluation MultiPlacementProblem::evaluate(
     const Assignment& a) const {
-  validate_assignment(a, workloads_.size(), servers_.size());
-  PlacementEvaluation ev;
-  ev.servers.resize(servers_.size());
+  PlacementEvaluation ev = cpu_.evaluate(a);  // validates `a`
+  // Rebuild the totals in server order from the per-server values below.
+  ev.score = 0.0;
   ev.feasible = true;
-
-  const auto by_server = workloads_by_server(a, servers_.size());
+  ev.total_required_capacity = 0.0;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     ServerEvaluation& se = ev.servers[s];
-    se.workloads = by_server[s];
-    if (se.workloads.empty()) {
-      se.score = 1.0;
-      ev.score += se.score;
-      continue;
-    }
-    se.used = true;
-    ev.servers_used += 1;
-    const sim::MultiRequiredCapacity rc =
-        server_required_capacity(se.workloads, servers_[s]);
-    se.fits = rc.fits;
-    if (!rc.fits) {
-      ev.feasible = false;
-      se.score = -static_cast<double>(se.workloads.size());
-      ev.score += se.score;
-      continue;
-    }
-    se.required_capacity = rc.cpu.capacity;
-    // Scoring utilization: the tightest attribute on this server, so a
-    // memory-bound box does not masquerade as underused.
-    double u = 0.0;
-    for (trace::Attribute attr : trace::kAllAttributes) {
-      const double cap = servers_[s].capacity(attr);
-      if (cap <= 0.0) continue;
-      u = std::max(u, rc.required[trace::attribute_index(attr)] / cap);
-    }
-    se.utilization = std::min(1.0, u);
-    se.score =
-        PlacementProblem::utilization_score(se.utilization, servers_[s].cpus);
+    if (se.used) score_server(se, servers_[s], ev);
     ev.score += se.score;
-    ev.total_required_capacity += rc.cpu.capacity;
   }
   return ev;
 }
 
+void MultiPlacementProblem::score_server(ServerEvaluation& se,
+                                         const sim::MultiServerSpec& spec,
+                                         PlacementEvaluation& ev) const {
+  const AttributePeaks peaks = attribute_peaks(se.workloads);
+  if (!se.fits || !attributes_fit(peaks, spec)) {
+    ev.feasible = false;
+    se.fits = false;
+    se.required_capacity = 0.0;
+    se.utilization = 0.0;
+    se.score = -static_cast<double>(se.workloads.size());
+    return;
+  }
+  // Scoring utilization: the tightest attribute on this server, so a
+  // memory-bound box does not masquerade as underused.
+  double u = se.required_capacity / spec.capacity(trace::Attribute::kCpu);
+  for (trace::Attribute a : trace::kAllAttributes) {
+    const double cap = spec.capacity(a);
+    if (a == trace::Attribute::kCpu || cap <= 0.0) continue;
+    u = std::max(u, peaks[trace::attribute_index(a)] / cap);
+  }
+  se.utilization = std::min(1.0, u);
+  se.score = PlacementProblem::utilization_score(se.utilization, spec.cpus);
+  ev.total_required_capacity += se.required_capacity;
+}
+
 std::optional<Assignment> MultiPlacementProblem::greedy_seed() const {
-  // First-fit-decreasing by peak CPU allocation, with full multi-attribute
-  // feasibility checks.
+  // First-fit-decreasing by peak CPU allocation: each workload goes to the
+  // first server whose attributes and CPU probe both still fit it.
   std::vector<std::size_t> order(workloads_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [this](std::size_t x, std::size_t y) {
-                     return workloads_[x].cpu().peak_allocation() >
-                            workloads_[y].cpu().peak_allocation();
+                     return cpu_traces_[x].peak_allocation() >
+                            cpu_traces_[y].peak_allocation();
                    });
-  std::vector<std::vector<std::size_t>> hosted(servers_.size());
+  const std::unique_ptr<DeltaPlacementContext> ctx = cpu_.make_delta_context();
+  std::vector<std::size_t> trial;
   Assignment result(workloads_.size());
   for (std::size_t w : order) {
     bool placed = false;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      std::vector<std::size_t> trial = hosted[s];
-      trial.push_back(w);
-      if (server_required_capacity(trial, servers_[s]).fits) {
-        hosted[s].push_back(w);
+    for (std::size_t s = 0; s < servers_.size() && !placed; ++s) {
+      const std::span<const std::size_t> hosted = ctx->engine().hosted(s);
+      trial.assign(hosted.begin(), hosted.end());
+      trial.insert(std::ranges::upper_bound(trial, w), w);
+      if (attributes_fit(attribute_peaks(trial), servers_[s]) &&
+          ctx->probe(s, w).fits) {
+        ctx->add(w, s);
         result[w] = s;
         placed = true;
-        break;
       }
     }
     if (!placed) return std::nullopt;

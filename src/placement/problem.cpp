@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "common/error.h"
+#include "common/grid.h"
 #include "placement/baselines.h"
 
 namespace ropus::placement {
@@ -21,7 +22,9 @@ PlacementProblem::PlacementProblem(
                                   : workloads.front().calendar()) {
   ROPUS_REQUIRE(!workloads_.empty(), "placement needs at least one workload");
   ROPUS_REQUIRE(!servers_.empty(), "placement needs at least one server");
-  ROPUS_REQUIRE(tolerance_ > 0.0, "capacity tolerance must be > 0");
+  ROPUS_REQUIRE(tolerance_ >= grid::kStep,
+                "capacity tolerance must be at least the 2^-20 allocation "
+                "grid");
   cos2_.validate();
   for (const sim::ServerSpec& s : servers_) s.validate();
   for (const qos::AllocationTrace& w : workloads_) {

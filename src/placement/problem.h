@@ -38,8 +38,9 @@ class DeltaPlacementContext;
 class PlacementProblem final : public PlacementModel {
  public:
   /// `workloads` and `servers` must outlive the problem. All workload
-  /// calendars must match. Throws InvalidArgument on an empty pool or
-  /// mismatched calendars.
+  /// calendars must match. Throws InvalidArgument on an empty pool,
+  /// mismatched calendars, or a tolerance below grid::kStep (2^-20, the
+  /// finest capacity search grid).
   PlacementProblem(std::span<const qos::AllocationTrace> workloads,
                    std::vector<sim::ServerSpec> servers,
                    qos::CosCommitment cos2, double capacity_tolerance = 0.05);

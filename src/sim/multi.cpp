@@ -1,9 +1,6 @@
 #include "sim/multi.h"
 
-#include <algorithm>
-
 #include "common/error.h"
-#include "slo/kernel.h"
 
 namespace ropus::sim {
 
@@ -43,64 +40,6 @@ std::vector<MultiServerSpec> homogeneous_multi_pool(
     pool.push_back(std::move(s));
   }
   return pool;
-}
-
-MultiRequiredCapacity multi_required_capacity(
-    std::span<const qos::WorkloadAllocations* const> workloads,
-    const MultiServerSpec& server, const qos::CosCommitment& cos2,
-    double tolerance) {
-  server.validate();
-  MultiRequiredCapacity result;
-  if (workloads.empty()) {
-    result.fits = true;
-    result.cpu.fits = true;
-    return result;
-  }
-  for (const qos::WorkloadAllocations* w : workloads) {
-    ROPUS_REQUIRE(w != nullptr, "null workload");
-    ROPUS_REQUIRE(w->calendar() == workloads.front()->calendar(),
-                  "workloads must share the server calendar");
-  }
-
-  // CPU: the full Section VI-A search.
-  std::vector<const qos::AllocationTrace*> cpu_traces;
-  cpu_traces.reserve(workloads.size());
-  for (const qos::WorkloadAllocations* w : workloads) {
-    cpu_traces.push_back(&w->cpu());
-  }
-  const Aggregate agg =
-      aggregate_workloads(cpu_traces, workloads.front()->calendar());
-  result.cpu = required_capacity(
-      agg, server.capacity(trace::Attribute::kCpu), cos2, tolerance);
-  result.required[trace::attribute_index(trace::Attribute::kCpu)] =
-      result.cpu.capacity;
-  bool fits = result.cpu.fits;
-  if (!result.cpu.fits) {
-    result.violated.push_back(trace::Attribute::kCpu);
-  }
-
-  // Non-CPU attributes: guaranteed demand, required = peak of aggregate.
-  const trace::Calendar& cal = workloads.front()->calendar();
-  for (trace::Attribute a : trace::kAllAttributes) {
-    if (a == trace::Attribute::kCpu) continue;
-    std::vector<double> total(cal.size(), 0.0);
-    bool any = false;
-    for (const qos::WorkloadAllocations* w : workloads) {
-      const trace::DemandTrace* t = w->attribute(a);
-      if (t == nullptr) continue;
-      any = true;
-      for (std::size_t i = 0; i < total.size(); ++i) total[i] += (*t)[i];
-    }
-    if (!any) continue;
-    const double peak = *std::max_element(total.begin(), total.end());
-    result.required[trace::attribute_index(a)] = peak;
-    if (peak > server.capacity(a) + slo::kCapacityEps) {
-      fits = false;
-      result.violated.push_back(a);
-    }
-  }
-  result.fits = fits;
-  return result;
 }
 
 }  // namespace ropus::sim

@@ -1,23 +1,21 @@
-// Multi-attribute required capacity (the Section IX extension).
+// Multi-attribute servers (the Section IX extension).
 //
-// A server now has a capacity per attribute. The CPU attribute keeps the
-// full two-CoS replay semantics of simulator.h; non-CPU attributes carry
-// guaranteed demand, so their required capacity is the peak of the
-// aggregated demand and "fits" means that peak stays within the server's
-// attribute capacity.
+// A server has a capacity per attribute. The CPU attribute keeps the full
+// two-CoS semantics of simulator.h; non-CPU attributes carry guaranteed
+// demand, so a server "fits" them when the peak of their summed demand
+// stays within its attribute capacity. placement::MultiPlacementProblem
+// judges both: CPU on the shared capacity search, the rest by that peak.
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
-#include "qos/workload_allocations.h"
-#include "sim/simulator.h"
+#include "trace/attribute.h"
 
 namespace ropus::sim {
 
 /// A server with per-attribute capacities. CPU capacity equals the CPU
-/// count as before; absent attributes default to 0 (set what you manage).
+/// count as before; the other capacities default to the values below.
 struct MultiServerSpec {
   std::string name;
   std::size_t cpus = 16;
@@ -35,23 +33,5 @@ struct MultiServerSpec {
 /// A pool of identical multi-attribute servers named `<prefix>-NN`.
 std::vector<MultiServerSpec> homogeneous_multi_pool(
     std::size_t count, const MultiServerSpec& archetype);
-
-/// Per-attribute outcome of the required-capacity analysis for one server.
-struct MultiRequiredCapacity {
-  bool fits = false;  // every attribute fits
-  RequiredCapacity cpu;  // full two-CoS search on the CPU attribute
-  /// Required capacity per non-CPU attribute (peak of aggregate demand;
-  /// entry for kCpu mirrors cpu.capacity).
-  std::array<double, trace::kAttributeCount> required{};
-  /// Which attributes exceeded the server's capacity (empty when fits).
-  std::vector<trace::Attribute> violated;
-};
-
-/// Runs the CPU search of Section VI-A plus the peak-demand check for every
-/// non-CPU attribute present on any hosted workload.
-MultiRequiredCapacity multi_required_capacity(
-    std::span<const qos::WorkloadAllocations* const> workloads,
-    const MultiServerSpec& server, const qos::CosCommitment& cos2,
-    double tolerance = 0.05);
 
 }  // namespace ropus::sim

@@ -88,26 +88,15 @@ Aggregate aggregate_workloads(
   return agg;
 }
 
-Evaluation evaluate(const AggregateView& agg, double capacity,
-                    const qos::CosCommitment& cos2) {
-  ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
-  cos2.validate();
-  Evaluation ev;
-  if (agg.empty()) return ev;
-  const trace::Calendar& cal = agg.calendar();
-  const std::size_t n = cal.size();
-  evaluate_calls().add(1);
-  evaluate_slots().add(n);
-
-  // Flight recording: each evaluate() call opens its own section, so
-  // repeated passes over the same slots stay separable in the recording.
+namespace {
+// The dense slot loop behind evaluate() and theta_breakdown(): replays all
+// slots of `agg` at `capacity`, adding each slot's requested and satisfied
+// CoS2 to `theta` (pre-sized to the calendar's groups) and appending pool
+// records to `rec` when it is non-null. Stops at the first CoS1 overcommit.
+Evaluation replay(const AggregateView& agg, double capacity,
+                  std::size_t deadline_slots, slo::ThetaAccumulator& theta,
+                  obs::Recorder* rec) {
   // Pool-aggregate records carry the exact satisfied CoS2.
-  obs::Recorder* const rec = obs::Recorder::active();
-  if (rec != nullptr) {
-    rec->set_calendar(static_cast<double>(cal.minutes_per_sample()),
-                      cal.slots_per_day());
-    rec->begin_section();
-  }
   const auto record = [&](std::size_t i, double s1, double s2, double granted,
                           double sat2) {
     if (rec == nullptr || !rec->should_record(i)) return;
@@ -126,8 +115,9 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
 
   // Per (week, slot-of-day) group sums and the deferral FIFO both live in
   // the slo kernel (src/slo/kernel.h), shared with the online watchdog.
-  slo::ThetaAccumulator theta(cal.weeks(), cal.slots_per_day());
-  slo::DeferralQueue backlog(cal.observations_in(cos2.deadline_minutes));
+  Evaluation ev;
+  slo::DeferralQueue backlog(deadline_slots);
+  const std::size_t n = agg.calendar().size();
   const std::span<const double> s1v = agg.cos1();
   const std::span<const double> s2v = agg.cos2();
   for (std::size_t i = 0; i < n; ++i) {
@@ -161,6 +151,29 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
   ev.theta = theta.theta();
   return ev;
 }
+}  // namespace
+
+Evaluation evaluate(const AggregateView& agg, double capacity,
+                    const qos::CosCommitment& cos2) {
+  ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
+  cos2.validate();
+  if (agg.empty()) return Evaluation{};
+  const trace::Calendar& cal = agg.calendar();
+  evaluate_calls().add(1);
+  evaluate_slots().add(cal.size());
+
+  // Flight recording: each evaluate() call opens its own section, so
+  // repeated passes over the same slots stay separable in the recording.
+  obs::Recorder* const rec = obs::Recorder::active();
+  if (rec != nullptr) {
+    rec->set_calendar(static_cast<double>(cal.minutes_per_sample()),
+                      cal.slots_per_day());
+    rec->begin_section();
+  }
+  slo::ThetaAccumulator theta(cal.weeks(), cal.slots_per_day());
+  return replay(agg, capacity, cal.observations_in(cos2.deadline_minutes),
+                theta, rec);
+}
 
 ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity) {
   ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
@@ -168,13 +181,9 @@ ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity) {
   if (agg.empty()) return breakdown;
   const trace::Calendar& cal = agg.calendar();
   slo::ThetaAccumulator theta(cal.weeks(), cal.slots_per_day());
-  for (std::size_t i = 0; i < cal.size(); ++i) {
-    const double s1 = agg.cos1()[i];
-    ROPUS_REQUIRE(s1 <= capacity + kCapacityEps,
-                  "CoS1 exceeds capacity; breakdown is undefined");
-    const double s2 = agg.cos2()[i];
-    theta.add(i, s2, std::min(s2, std::max(0.0, capacity - s1)));
-  }
+  // Only the group sums are read, so the deferral deadline is immaterial.
+  ROPUS_REQUIRE(replay(agg, capacity, 0, theta, nullptr).cos1_satisfied,
+                "CoS1 exceeds capacity; breakdown is undefined");
   breakdown.group_ratios = theta.ratios();
   const slo::ThetaAccumulator::Worst worst = theta.worst();
   breakdown.theta = worst.theta;

@@ -201,9 +201,11 @@ struct ThetaBreakdown {
   std::vector<double> group_ratios;
 };
 
-/// Computes the theta statistic with its full per-group breakdown. Requires
-/// the aggregate's CoS1 series to fit under `capacity` (use evaluate()
-/// first when unsure).
+/// Computes the theta statistic with its full per-group breakdown, on
+/// evaluate()'s own slot loop (no flight recording, no `sim.evaluate.*`
+/// counts), so `theta` equals evaluate()'s bit for bit. Throws
+/// InvalidArgument unless the aggregate's CoS1 series fits under `capacity`
+/// (use evaluate() first when unsure).
 ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity);
 
 /// Result of the required-capacity search for one server.

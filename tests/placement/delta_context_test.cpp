@@ -21,6 +21,8 @@
 namespace ropus::placement {
 namespace {
 
+using testing::expect_same_evaluation;
+
 /// The batch oracle for one server hosting `ids`: a cold search over a
 /// freshly built aggregate.
 ServerVerdict oracle_verdict(const PlacementProblem& problem,
@@ -67,24 +69,6 @@ PlacementEvaluation oracle_evaluate(const PlacementProblem& problem,
     ev.score += se.score;
   }
   return ev;
-}
-
-void expect_same_evaluation(const PlacementEvaluation& a,
-                            const PlacementEvaluation& b) {
-  ASSERT_EQ(a.score, b.score);  // bit compare, not NEAR
-  ASSERT_EQ(a.feasible, b.feasible);
-  ASSERT_EQ(a.servers_used, b.servers_used);
-  ASSERT_EQ(a.total_required_capacity, b.total_required_capacity);
-  ASSERT_EQ(a.servers.size(), b.servers.size());
-  for (std::size_t s = 0; s < a.servers.size(); ++s) {
-    ASSERT_EQ(a.servers[s].workloads, b.servers[s].workloads) << s;
-    ASSERT_EQ(a.servers[s].used, b.servers[s].used) << s;
-    ASSERT_EQ(a.servers[s].fits, b.servers[s].fits) << s;
-    ASSERT_EQ(a.servers[s].required_capacity, b.servers[s].required_capacity)
-        << s;
-    ASSERT_EQ(a.servers[s].utilization, b.servers[s].utilization) << s;
-    ASSERT_EQ(a.servers[s].score, b.servers[s].score) << s;
-  }
 }
 
 TEST(DeltaContext, RandomAssignmentSequenceMatchesBatchBitForBit) {

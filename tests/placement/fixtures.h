@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "placement/problem.h"
 #include "qos/allocation.h"
 #include "sim/server.h"
@@ -62,6 +64,26 @@ inline Fixture flat_problem(const std::vector<double>& demand_cpus,
   f.problem = std::make_unique<PlacementProblem>(
       f.allocations, sim::homogeneous_pool(server_count, cpus), f.cos2);
   return f;
+}
+
+/// Field-by-field bit comparison of two evaluations (scores compared with
+/// ASSERT_EQ, not NEAR); callers check HasFatalFailure() after it.
+inline void expect_same_evaluation(const PlacementEvaluation& a,
+                                   const PlacementEvaluation& b) {
+  ASSERT_EQ(a.score, b.score);  // bit compare, not NEAR
+  ASSERT_EQ(a.feasible, b.feasible);
+  ASSERT_EQ(a.servers_used, b.servers_used);
+  ASSERT_EQ(a.total_required_capacity, b.total_required_capacity);
+  ASSERT_EQ(a.servers.size(), b.servers.size());
+  for (std::size_t s = 0; s < a.servers.size(); ++s) {
+    ASSERT_EQ(a.servers[s].workloads, b.servers[s].workloads) << s;
+    ASSERT_EQ(a.servers[s].used, b.servers[s].used) << s;
+    ASSERT_EQ(a.servers[s].fits, b.servers[s].fits) << s;
+    ASSERT_EQ(a.servers[s].required_capacity, b.servers[s].required_capacity)
+        << s;
+    ASSERT_EQ(a.servers[s].utilization, b.servers[s].utilization) << s;
+    ASSERT_EQ(a.servers[s].score, b.servers[s].score) << s;
+  }
 }
 
 }  // namespace ropus::placement::testing

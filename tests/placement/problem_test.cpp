@@ -95,6 +95,18 @@ TEST(Problem, RejectsEmptyInputs) {
   EXPECT_THROW(PlacementProblem(f.allocations, {}, f.cos2), InvalidArgument);
 }
 
+TEST(Problem, RejectsSubGridTolerance) {
+  // The delta engine searches a grid no finer than 2^-20; a finer tolerance
+  // is refused at construction, not at the first evaluate().
+  auto f = flat_problem({1.0}, 1);
+  EXPECT_THROW(PlacementProblem(f.allocations, sim::homogeneous_pool(1, 16),
+                                f.cos2, 0x1p-21),
+               InvalidArgument);
+  const PlacementProblem finest(f.allocations, sim::homogeneous_pool(1, 16),
+                                f.cos2, 0x1p-20);
+  EXPECT_TRUE(finest.evaluate({0}).feasible);
+}
+
 TEST(Problem, EvaluateValidatesAssignment) {
   auto f = flat_problem({1.0, 1.0}, 2);
   EXPECT_THROW(f.problem->evaluate({0}), InvalidArgument);

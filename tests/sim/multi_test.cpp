@@ -1,4 +1,6 @@
-// Multi-attribute required capacity (the Section IX extension).
+// Multi-attribute servers and workloads (the Section IX extension). The
+// per-server verdicts are tested through placement::MultiPlacementProblem
+// (tests/placement/multi_problem_test.cpp).
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
@@ -6,6 +8,9 @@
 #include <vector>
 
 #include "common/error.h"
+#include "qos/translation.h"
+#include "qos/workload_allocations.h"
+#include "trace/demand_trace.h"
 
 namespace ropus::sim {
 namespace {
@@ -25,21 +30,13 @@ qos::Requirement flat_req() {
   return r;
 }
 
-/// A workload with flat CPU demand and optional flat memory demand.
+/// A workload with flat CPU demand and no other attribute.
 qos::WorkloadAllocations make_workload(const std::string& name, double cpus,
-                                       double memory_gb,
                                        const qos::CosCommitment& cos2) {
   const DemandTrace cpu(name, tiny(),
                         std::vector<double>(tiny().size(), cpus));
-  qos::WorkloadAllocations w(
+  return qos::WorkloadAllocations(
       qos::AllocationTrace(cpu, qos::translate(cpu, flat_req(), cos2)));
-  if (memory_gb > 0.0) {
-    w.set_attribute(Attribute::kMemoryGb,
-                    DemandTrace(name + "/mem", tiny(),
-                                std::vector<double>(tiny().size(),
-                                                    memory_gb)));
-  }
-  return w;
 }
 
 MultiServerSpec server(std::size_t cpus, double memory_gb) {
@@ -71,64 +68,8 @@ TEST(MultiPool, NamesAndCopiesArchetype) {
   EXPECT_DOUBLE_EQ(pool[1].memory_gb, 32.0);
 }
 
-TEST(MultiRequired, EmptyFits) {
-  const MultiRequiredCapacity rc =
-      multi_required_capacity({}, server(16, 64.0), kCos2);
-  EXPECT_TRUE(rc.fits);
-}
-
-TEST(MultiRequired, CpuAndMemoryBothChecked) {
-  // Two workloads: 2 CPUs demand each (4 CPU allocation at U_low = 0.5)
-  // plus 20 GiB memory each.
-  const auto a = make_workload("a", 2.0, 20.0, kCos2);
-  const auto b = make_workload("b", 2.0, 20.0, kCos2);
-  const std::vector<const qos::WorkloadAllocations*> ws{&a, &b};
-
-  const MultiRequiredCapacity fits =
-      multi_required_capacity(ws, server(16, 64.0), kCos2);
-  EXPECT_TRUE(fits.fits);
-  EXPECT_NEAR(fits.cpu.capacity, 8.0, 0.1);
-  EXPECT_NEAR(fits.required[trace::attribute_index(Attribute::kMemoryGb)],
-              40.0, 1e-9);
-
-  // Memory-bound: CPU fits easily, 40 GiB > 32 GiB.
-  const MultiRequiredCapacity mem_bound =
-      multi_required_capacity(ws, server(16, 32.0), kCos2);
-  EXPECT_FALSE(mem_bound.fits);
-  ASSERT_EQ(mem_bound.violated.size(), 1u);
-  EXPECT_EQ(mem_bound.violated[0], Attribute::kMemoryGb);
-
-  // CPU-bound: memory fine, 8 CPUs > 4.
-  const MultiRequiredCapacity cpu_bound =
-      multi_required_capacity(ws, server(4, 64.0), kCos2);
-  EXPECT_FALSE(cpu_bound.fits);
-  ASSERT_GE(cpu_bound.violated.size(), 1u);
-  EXPECT_EQ(cpu_bound.violated[0], Attribute::kCpu);
-}
-
-TEST(MultiRequired, AbsentAttributesConsumeNothing) {
-  const auto a = make_workload("a", 1.0, 0.0, kCos2);  // no memory trace
-  const std::vector<const qos::WorkloadAllocations*> ws{&a};
-  const MultiRequiredCapacity rc =
-      multi_required_capacity(ws, server(16, 0.0), kCos2);
-  EXPECT_TRUE(rc.fits);  // zero memory capacity is fine with no demand
-  EXPECT_DOUBLE_EQ(
-      rc.required[trace::attribute_index(Attribute::kMemoryGb)], 0.0);
-}
-
-TEST(MultiRequired, AggregatesMemoryAcrossWorkloads) {
-  const auto a = make_workload("a", 0.5, 10.0, kCos2);
-  const auto b = make_workload("b", 0.5, 15.0, kCos2);
-  const auto c = make_workload("c", 0.5, 7.5, kCos2);
-  const std::vector<const qos::WorkloadAllocations*> ws{&a, &b, &c};
-  const MultiRequiredCapacity rc =
-      multi_required_capacity(ws, server(16, 64.0), kCos2);
-  EXPECT_NEAR(rc.required[trace::attribute_index(Attribute::kMemoryGb)],
-              32.5, 1e-9);
-}
-
 TEST(WorkloadAllocations, RejectsCpuAttributeAndForeignCalendar) {
-  auto w = make_workload("a", 1.0, 0.0, kCos2);
+  auto w = make_workload("a", 1.0, kCos2);
   EXPECT_THROW(
       w.set_attribute(Attribute::kCpu, DemandTrace::zeros("x", tiny())),
       InvalidArgument);
