@@ -245,7 +245,7 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
 
   parallel::set_thread_count(0);  // back to the hardware default
   // Fixed label (not the thread count) so the JSON metric names are stable
-  // across hosts and bench_diff can compare them.
+  // across hosts.
   const BenchRun sharded =
       run_bench("campaign/threads=max", cfg.trials,
                 [&] { do_not_optimize(campaign.run(cfg)); });

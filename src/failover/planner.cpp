@@ -27,24 +27,53 @@ FailurePlanner::FailurePlanner(std::span<const trace::DemandTrace> demands,
   }
 }
 
+std::vector<qos::Translation> FailurePlanner::translate_all(
+    bool failure_mode) const {
+  std::vector<qos::Translation> translations;
+  translations.reserve(demands_.size());
+  for (std::size_t a = 0; a < demands_.size(); ++a) {
+    const qos::Requirement& req =
+        failure_mode ? qos_[a].failure : qos_[a].normal;
+    translations.push_back(
+        qos::translate(demands_[a], req, commitments_.cos2));
+  }
+  return translations;
+}
+
 std::vector<qos::AllocationTrace> FailurePlanner::build_allocations(
-    const std::vector<bool>& use_failure_mode) const {
+    const std::vector<bool>& use_failure_mode,
+    const Translations& translations) const {
   std::vector<qos::AllocationTrace> allocations;
   allocations.reserve(demands_.size());
   for (std::size_t a = 0; a < demands_.size(); ++a) {
-    const qos::Requirement& req =
-        use_failure_mode[a] ? qos_[a].failure : qos_[a].normal;
-    const qos::Translation tr =
-        qos::translate(demands_[a], req, commitments_.cos2);
-    allocations.emplace_back(demands_[a], tr);
+    allocations.emplace_back(demands_[a], use_failure_mode[a]
+                                              ? translations.failure[a]
+                                              : translations.normal[a]);
   }
   return allocations;
+}
+
+bool FailurePlanner::plan_normal(const PlannerConfig& config,
+                                 Translations* translations,
+                                 placement::ConsolidationReport* normal,
+                                 std::vector<std::size_t>* active) const {
+  translations->normal = translate_all(false);
+  const std::vector<qos::AllocationTrace> allocs = build_allocations(
+      std::vector<bool>(demands_.size(), false), *translations);
+  const placement::PlacementProblem problem(allocs, pool_, commitments_.cos2);
+  *normal = placement::consolidate(problem, config.normal);
+  if (!normal->feasible) return false;
+  for (std::size_t s = 0; s < pool_.size(); ++s) {
+    if (!normal->evaluation.servers[s].workloads.empty()) active->push_back(s);
+  }
+  return true;
 }
 
 placement::ConsolidationReport FailurePlanner::consolidate_survivors(
     const placement::ConsolidationReport& normal,
     const std::vector<std::size_t>& active,
     const std::vector<std::size_t>& failed, const PlannerConfig& config,
+    const Translations& translations,
     std::vector<std::size_t>* surviving_servers) const {
   surviving_servers->clear();
   for (std::size_t s : active) {
@@ -65,7 +94,7 @@ placement::ConsolidationReport FailurePlanner::consolidate_survivors(
     }
   }
   const std::vector<qos::AllocationTrace> allocs =
-      build_allocations(failure_mode);
+      build_allocations(failure_mode, translations);
 
   std::vector<sim::ServerSpec> survivors;
   survivors.reserve(surviving_servers->size());
@@ -93,24 +122,13 @@ placement::ConsolidationReport FailurePlanner::consolidate_survivors(
 
 FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
   FailoverReport report;
-
-  // Normal mode: everyone under normal QoS, consolidate on the full pool.
-  const std::vector<qos::AllocationTrace> normal_allocs =
-      build_allocations(std::vector<bool>(demands_.size(), false));
-  const placement::PlacementProblem normal_problem(normal_allocs, pool_,
-                                                   commitments_.cos2);
-  report.normal = placement::consolidate(normal_problem, config.normal);
-  if (!report.normal.feasible) {
+  Translations translations;
+  if (!plan_normal(config, &translations, &report.normal,
+                   &report.active_servers)) {
     ROPUS_LOG(kWarn) << "normal-mode consolidation infeasible; "
                         "failure sweep skipped";
     report.spare_needed = true;
     return report;
-  }
-
-  for (std::size_t s = 0; s < pool_.size(); ++s) {
-    if (!report.normal.evaluation.servers[s].workloads.empty()) {
-      report.active_servers.push_back(s);
-    }
   }
 
   // A one-server fleet has no survivors to absorb a failure.
@@ -126,13 +144,14 @@ FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
     return report;
   }
 
+  translations.failure = translate_all(true);
   for (std::size_t failed : report.active_servers) {
     FailureOutcome outcome;
     outcome.failed_server = failed;
     outcome.affected_apps = report.normal.evaluation.servers[failed].workloads;
 
     const placement::ConsolidationReport cr = consolidate_survivors(
-        report.normal, report.active_servers, {failed}, config,
+        report.normal, report.active_servers, {failed}, config, translations,
         &outcome.surviving_servers);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;
@@ -152,22 +171,15 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
   MultiFailoverReport report;
   report.concurrent_failures = concurrent_failures;
 
-  const std::vector<qos::AllocationTrace> normal_allocs =
-      build_allocations(std::vector<bool>(demands_.size(), false));
-  const placement::PlacementProblem normal_problem(normal_allocs, pool_,
-                                                   commitments_.cos2);
-  report.normal = placement::consolidate(normal_problem, config.normal);
-  if (!report.normal.feasible) {
+  Translations translations;
+  if (!plan_normal(config, &translations, &report.normal,
+                   &report.active_servers)) {
     report.unsupported = 1;
     return report;
   }
-  for (std::size_t s = 0; s < pool_.size(); ++s) {
-    if (!report.normal.evaluation.servers[s].workloads.empty()) {
-      report.active_servers.push_back(s);
-    }
-  }
   ROPUS_REQUIRE(concurrent_failures < report.active_servers.size(),
                 "cannot lose every active server at once");
+  translations.failure = translate_all(true);
 
   // Enumerate k-subsets of active servers in lexicographic order.
   const std::size_t n = report.active_servers.size();
@@ -188,7 +200,8 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
     std::vector<std::size_t> survivors;
     const placement::ConsolidationReport cr =
         consolidate_survivors(report.normal, report.active_servers,
-                              outcome.failed_servers, config, &survivors);
+                              outcome.failed_servers, config, translations,
+                              &survivors);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;
     outcome.total_required_capacity = cr.total_required_capacity;

@@ -94,8 +94,26 @@ class FailurePlanner {
   qos::PoolCommitments commitments_;
   std::vector<sim::ServerSpec> pool_;
 
+  /// Every app's translation under its normal and its failure requirement,
+  /// made once per plan; `failure` stays empty until the normal phase has
+  /// proved feasible.
+  struct Translations {
+    std::vector<qos::Translation> normal;
+    std::vector<qos::Translation> failure;
+  };
+
+  std::vector<qos::Translation> translate_all(bool failure_mode) const;
+
   std::vector<qos::AllocationTrace> build_allocations(
-      const std::vector<bool>& use_failure_mode) const;
+      const std::vector<bool>& use_failure_mode,
+      const Translations& translations) const;
+
+  /// The normal phase shared by both sweeps: translates every app's normal
+  /// requirement, consolidates on the full pool and, when that is feasible,
+  /// lists the pool indices it uses in `active`. Returns the feasibility.
+  bool plan_normal(const PlannerConfig& config, Translations* translations,
+                   placement::ConsolidationReport* normal,
+                   std::vector<std::size_t>* active) const;
 
   /// Re-consolidates after the servers in `failed` (pool indices, sorted)
   /// go down simultaneously. Shared by the single- and multi-failure sweeps.
@@ -103,6 +121,7 @@ class FailurePlanner {
       const placement::ConsolidationReport& normal,
       const std::vector<std::size_t>& active,
       const std::vector<std::size_t>& failed, const PlannerConfig& config,
+      const Translations& translations,
       std::vector<std::size_t>* surviving_servers) const;
 };
 

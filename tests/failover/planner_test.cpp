@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace ropus::failover {
 namespace {
@@ -33,9 +35,9 @@ struct Scenario {
   qos::PoolCommitments commitments;
 };
 
-Scenario make_scenario(const qos::Requirement& failure_req) {
+Scenario make_scenario(const qos::Requirement& failure_req, int apps = 6) {
   Scenario s;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < apps; ++i) {
     s.demands.emplace_back("app-" + std::to_string(i), tiny(),
                            std::vector<double>(tiny().size(), 2.0));
     qos::ApplicationQos q;
@@ -143,6 +145,41 @@ TEST(FailurePlanner, DegradeOnlyAffectedMode) {
   const FailoverReport report = planner.plan(cfg);
   ASSERT_TRUE(report.normal.feasible);
   EXPECT_TRUE(report.spare_needed);
+}
+
+TEST(FailurePlanner, TranslatesEachAppOncePerMode) {
+  // Nine apps of 4 normal-mode CPUs need at least three 16-way servers, so
+  // both sweeps run several failure cases; each app still has only two
+  // requirements to translate.
+  Scenario s = make_scenario(band(0.8, 0.9, 0.95), 9);
+  FailurePlanner planner(s.demands, s.qos, s.commitments,
+                         sim::homogeneous_pool(4, 16));
+  const obs::Counter& calls = obs::counter("qos.translate.calls");
+  const std::uint64_t apps = s.demands.size();
+  for (const bool degrade_all : {true, false}) {
+    SCOPED_TRACE(degrade_all ? "degrade_all_apps" : "degrade affected only");
+    PlannerConfig cfg = fast_config();
+    cfg.degrade_all_apps = degrade_all;
+
+    std::uint64_t before = calls.value();
+    const FailoverReport report = planner.plan(cfg);
+    const std::uint64_t plan_calls = calls.value() - before;
+    ASSERT_GE(report.active_servers.size(), 3u);
+    ASSERT_EQ(report.outcomes.size(), report.active_servers.size());
+
+    before = calls.value();
+    const MultiFailoverReport multi = planner.plan_concurrent(cfg, 2);
+    const std::uint64_t concurrent_calls = calls.value() - before;
+    ASSERT_GE(multi.outcomes.size(), 3u);
+
+    if (degrade_all) {
+      EXPECT_EQ(plan_calls, 2 * apps);
+      EXPECT_EQ(concurrent_calls, 2 * apps);
+    } else {
+      EXPECT_LE(plan_calls, 2 * apps);
+      EXPECT_LE(concurrent_calls, 2 * apps);
+    }
+  }
 }
 
 }  // namespace

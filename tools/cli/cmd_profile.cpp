@@ -2,7 +2,7 @@
 // folded collapsed-stack files as produced by --profile-out and by the serve
 // daemon's GET /debug/profile — render a flamegraph, aggregate captures,
 // rank hot frames, or diff two profiles with an optional regression gate
-// (the profile analogue of bench_diff, same 0/1/2 exit convention).
+// (exit 2, the CLI's "action needed" code, when it trips).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -201,7 +201,7 @@ int run_diff(const Flags& flags, const std::vector<std::string>& inputs,
     out << "  (" << deltas.size() - limit << " more frames; --limit=N)\n";
   }
 
-  // --gate=pct: fail (exit 2, bench_diff's regression code) when any
+  // --gate=pct: fail (exit 2, "action needed") when any
   // frame's self share grew by more than `pct` percentage points.
   const double gate = flags.get_double("gate", 0.0);
   if (gate < 0.0) {
